@@ -21,9 +21,7 @@ from .dynamics import NumericsError, run
 from .estimators import (
     EigenTrajectory,
     Grid,
-    SweepSettings,
     estimate_current_velocity,
-    estimate_density,
     estimate_diffusion,
     irrotationality_residual,
     predicted_diffusion,
@@ -46,6 +44,7 @@ from .runio import (
     atomic_write_text,
     build_manifest,
     conventions,
+    fill_section,
     load_record_csv,
     load_wavefunction_csv,
     parse_config,
@@ -76,22 +75,21 @@ def _load_config(args):
     except OSError as e:
         print(f"error: cannot read config: {e}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
+    overrides = {"master_seed": args.seed, "replicas": getattr(args, "replicas", None)}
     try:
         cfg = parse_config(text)
+        cfg.ensemble = fill_section(
+            cfg.ensemble, {k: v for k, v in overrides.items() if v is not None}, "ensemble"
+        )
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-    if args.seed is not None:
-        cfg.ensemble.master_seed = args.seed
-    if getattr(args, "replicas", None):
-        cfg.ensemble.replicas = args.replicas
     return cfg
 
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(cfg, args)
-    params = cfg.model_params()
     t0 = time.monotonic()
     seeds = []
     try:
@@ -99,8 +97,8 @@ def cmd_simulate(args) -> int:
             s_init = replica_seed(cfg.ensemble.master_seed, r, "init")
             s_dyn = replica_seed(cfg.ensemble.master_seed, r, "dynamics")
             seeds.append({"replica": r, "init": s_init, "dynamics": s_dyn})
-            config = random_config(params, cfg.ensemble.spread, s_init)
-            record = run(config, params, cfg.integrator_config(s_dyn))
+            config = random_config(cfg.model, cfg.ensemble.spread, s_init)
+            record = run(config, cfg.model, cfg.integrator, s_dyn)
             atomic_write_text(os.path.join(out, f"record_{r:03d}.csv"), record_to_csv(record))
     except NumericsError as e:
         print(f"numeric abort: {e}", file=sys.stderr)
@@ -121,15 +119,9 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(cfg, args)
-    s = cfg.sweep
-    settings = SweepSettings(
-        replicas=s.replicas, burn_in_steps=s.burn_in_steps, steps=s.steps, dt=s.dt,
-        gamma=s.gamma, record_every=s.record_every, spread=s.spread,
-        master_seed=cfg.ensemble.master_seed,
-    )
     t0 = time.monotonic()
     try:
-        points = scaling_sweep(cfg.model_params(), s.t_scaled, s.N_list, settings)
+        points = scaling_sweep(cfg.model, cfg.sweep, cfg.ensemble.master_seed)
     except NumericsError as e:
         print(f"numeric abort: {e}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -279,9 +271,7 @@ def cmd_compare(args) -> int:
         columns = load_record_csv(traj_text)
         samples, diag = _trajectory_samples(columns)
         bw = cfg.analysis.bandwidth or silverman_bandwidth(samples)
-        d2 = (x[:, None] - samples[None, :]) ** 2
-        rho_m = np.exp(-0.5 * d2 / bw**2).sum(axis=1)
-        rho_m = rho_m / (rho_m.sum() * h)
+        rho_m = walker_density(samples, x, bw)
         verdict = {
             "L1": compare_densities(rho_m, rho_oracle, "L1", h),
             "KS": compare_densities(rho_m, rho_oracle, "KS", h),
@@ -290,7 +280,7 @@ def cmd_compare(args) -> int:
             "diagnostics": diag,
         }
         # nu_hat / nu_pred ratio when the run admits the scaling formulas.
-        params = cfg.model_params()
+        params = cfg.model
         if params.d >= 2 and cfg.integrator.temperature > 0:
             t_sc = scaled_temperature(params, cfg.integrator.temperature, params.N)
             verdict["t_scaled"] = t_sc
@@ -395,13 +385,13 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="JSON config (or manifest) path")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--replicas", type=int, default=None, help="replica count override")
+        p.add_argument("--seed", type=int, default=None, help="ensemble.master_seed override")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (runs are sequential; accepted for interop)")
+                       help="accepted and ignored (runs are sequential); kept for the benchmark")
 
     p = sub.add_parser("simulate", help="run dynamics, write records + manifest")
     common(p)
+    p.add_argument("--replicas", type=int, default=None, help="ensemble.replicas override")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("sweep", help="fixed-t scaling sweep over N")

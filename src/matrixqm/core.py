@@ -44,18 +44,20 @@ class ModelParams:
     pair_sum: str = UNORDERED
 
     def __post_init__(self):
+        # Messages start with the field name: config errors are reported as
+        # "model.<message>".
         if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
+            raise ValueError(f"d: must be >= 1, got {self.d}")
         if self.N < 2:
-            raise ValueError(f"N must be >= 2, got {self.N}")
+            raise ValueError(f"N: must be >= 2, got {self.N}")
         if self.mu <= 0:
-            raise ValueError(f"mu must be > 0, got {self.mu}")
+            raise ValueError(f"mu: must be > 0, got {self.mu}")
         if self.omega <= 0:
-            raise ValueError(f"omega must be > 0, got {self.omega}")
+            raise ValueError(f"omega: must be > 0, got {self.omega}")
         if self.kappa < 0:
-            raise ValueError(f"kappa must be >= 0, got {self.kappa}")
+            raise ValueError(f"kappa: must be >= 0, got {self.kappa}")
         if self.pair_sum not in (ORDERED, UNORDERED):
-            raise ValueError(f"unknown pair_sum {self.pair_sum!r}")
+            raise ValueError(f"pair_sum: must be {ORDERED} or {UNORDERED}, got {self.pair_sum!r}")
 
     @property
     def epsilon(self) -> float:

@@ -52,29 +52,30 @@ class IntegratorConfig:
     steps: int = 1000
     gamma: float = 0.0
     temperature: float = 0.0
-    seed: int = 0
     record_every: int = 1
     record_frames: bool = False
-    frame_max_sweeps: int = 100
     noise_mode: str = NOISE_ALL
     project_trace_noise: bool = False
 
     def __post_init__(self):
+        # Messages start with the field name (see ModelParams).
         if self.dt <= 0:
-            raise ValueError("dt must be > 0")
+            raise ValueError("dt: must be > 0")
         if self.steps < 0:
-            raise ValueError("steps must be >= 0")
+            raise ValueError("steps: must be >= 0")
         if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+            raise ValueError("record_every: must be >= 1")
         if self.mode not in (MICROCANONICAL, LANGEVIN):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise ValueError(f"mode: must be {MICROCANONICAL} or {LANGEVIN}, got {self.mode!r}")
         if self.mode == LANGEVIN:
             if self.gamma <= 0:
-                raise ValueError("langevin mode requires gamma > 0")
+                raise ValueError("gamma: langevin mode requires gamma > 0")
             if self.temperature < 0:
-                raise ValueError("temperature must be >= 0")
+                raise ValueError("temperature: must be >= 0")
         if self.noise_mode not in (NOISE_ALL, NOISE_OFFDIAG):
-            raise ValueError(f"unknown noise_mode {self.noise_mode!r}")
+            raise ValueError(
+                f"noise_mode: must be {NOISE_ALL} or {NOISE_OFFDIAG}, got {self.noise_mode!r}"
+            )
 
 
 @dataclass
@@ -184,9 +185,13 @@ def run(
     config: MatrixConfiguration,
     params: ModelParams,
     integ: IntegratorConfig,
+    seed: int = 0,
 ) -> TrajectoryRecord:
-    """Evolve and record observables every record_every steps (incl. initial state)."""
-    rng = np.random.default_rng(integ.seed)
+    """Evolve and record observables every record_every steps (incl. initial state).
+
+    seed feeds the Langevin noise; microcanonical runs draw no random numbers.
+    """
+    rng = np.random.default_rng(seed)
     cfg = config.copy()
 
     times = [cfg.time]
@@ -196,7 +201,7 @@ def run(
     frames = [] if integ.record_frames else None
     prev_frame = None
     if integ.record_frames:
-        prev_frame = joint_diagonalize(cfg, max_sweeps=integ.frame_max_sweeps)
+        prev_frame = joint_diagonalize(cfg)
         frames.append(prev_frame)
 
     X, V = cfg.X, cfg.V
@@ -220,9 +225,7 @@ def run(
             energies.append((kinetic_energy(cfg, params), potential_energy(cfg, params)))
             momenta.append(com_momentum(cfg, params))
             if integ.record_frames:
-                prev_frame = joint_diagonalize(
-                    cfg, max_sweeps=integ.frame_max_sweeps, initial_frame=prev_frame.frame
-                )
+                prev_frame = joint_diagonalize(cfg, initial_frame=prev_frame.frame)
                 frames.append(prev_frame)
     cfg = MatrixConfiguration(X=X, V=V, time=t0 + integ.steps * integ.dt)
 
@@ -232,7 +235,7 @@ def run(
         "steps": integ.steps,
         "gamma": integ.gamma,
         "temperature": integ.temperature,
-        "seed": integ.seed,
+        "seed": seed,
         "record_every": integ.record_every,
         "noise_mode": integ.noise_mode,
         "project_trace_noise": integ.project_trace_noise,
@@ -309,6 +312,7 @@ def equilibrate(
     config: MatrixConfiguration,
     params: ModelParams,
     integ: IntegratorConfig,
+    seed: int,
     tol: float,
     max_steps: int = 1_000_000,
     chunk_steps: int = 2000,
@@ -325,7 +329,7 @@ def equilibrate(
     if tol == np.inf:
         return config.copy(), {"burn_in_steps": 0, "converged": True, "T_est": None}
 
-    rng = np.random.default_rng(integ.seed)
+    rng = np.random.default_rng(seed)
     cfg = config.copy()
     record_every = max(1, integ.record_every)
     T_hist: list[float] = []

@@ -10,6 +10,7 @@ the emergent Planck constant hbar = mu*nu.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,8 +18,6 @@ from scipy.optimize import linear_sum_assignment
 
 from .core import ModelParams, ParticleFrame, random_config
 from .dynamics import LANGEVIN, IntegratorConfig, run
-
-ASSIGNMENT_EXACT_MAX_N = 64
 
 
 @dataclass
@@ -127,25 +126,9 @@ class ScalingPoint:
 
 def _match(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
     """Permutation p minimizing sum |prev_i - cur_{p(i)}|^2."""
-    n = len(prev)
     d2 = np.sum((prev[:, None, :] - cur[None, :, :]) ** 2, axis=2)
-    if n <= ASSIGNMENT_EXACT_MAX_N:
-        _, cols = linear_sum_assignment(d2)
-        return cols
-    # Greedy nearest-neighbor with collision resolution for large N.
-    order = np.argsort(d2, axis=None)
-    assigned_row = np.full(n, -1)
-    taken_col = np.zeros(n, dtype=bool)
-    count = 0
-    for flat in order:
-        i, j = divmod(int(flat), n)
-        if assigned_row[i] < 0 and not taken_col[j]:
-            assigned_row[i] = j
-            taken_col[j] = True
-            count += 1
-            if count == n:
-                break
-    return assigned_row
+    _, cols = linear_sum_assignment(d2)
+    return cols
 
 
 def track_particles(frames: list, times) -> EigenTrajectory:
@@ -519,60 +502,77 @@ def emergent_hbar(params: ModelParams, nu_lambda: float) -> float:
 # scaling sweep
 
 
+# Irrotationality diagnostic grid: points per axis.
+IRROT_GRID_POINTS = 24
+
+
 @dataclass
 class SweepSettings:
+    """The fixed-t line (t_scaled, N_list) and the Langevin runs at each point."""
+
+    t_scaled: float = 0.1
+    N_list: list = field(default_factory=lambda: [8, 16, 32])
     replicas: int = 8
     burn_in_steps: int = 2000
     steps: int = 4000
     dt: float = 0.01
-    gamma: float = 0.1
+    gamma: float = 0.1  # friction in units of omega
     record_every: int = 5
     spread: float = 0.5
-    master_seed: int = 12345
-    fit_window: tuple | None = None  # default: (5, 50) recorded intervals
-    method: str = MSD_SLOPE
-    center_particles: bool = True
-    grid_points: int = 24
+
+    def __post_init__(self):
+        # Messages start with the field name (see ModelParams).
+        if self.t_scaled < 0:
+            raise ValueError("t_scaled: must be >= 0")
+        if not self.N_list or not all(
+            isinstance(n, int) and not isinstance(n, bool) and n >= 2 for n in self.N_list
+        ):
+            raise ValueError(f"N_list: must be a non-empty list of ints >= 2, got {self.N_list}")
+        if self.replicas < 1:
+            raise ValueError("replicas: must be >= 1")
+        if self.burn_in_steps < 0:
+            raise ValueError("burn_in_steps: must be >= 0")
+        if self.record_every < 1:
+            raise ValueError("record_every: must be >= 1")
+        if self.steps < 10 * self.record_every:
+            raise ValueError("steps: must cover >= 10 record intervals (the MSD fit needs 5 lags)")
+        if self.dt <= 0:
+            raise ValueError("dt: must be > 0")
+        if self.gamma <= 0:
+            raise ValueError("gamma: must be > 0")
+        if self.spread < 0:
+            raise ValueError("spread: must be >= 0")
 
 
 def scaling_sweep(
     base_params: ModelParams,
-    t_scaled: float,
-    N_list,
-    run_settings: SweepSettings | None = None,
+    settings: SweepSettings,
+    master_seed: int,
 ) -> list:
     """Measure the eigenvalue diffusion constant along the fixed-t trajectory.
 
-    For each N the temperature is set to 8(d-1) mu omega^2 t / N, an ensemble
-    of Langevin runs is thermalized and recorded, particle trajectories are
-    tracked through joint-diagonalized frames, and the fitted diffusion
-    constant is reported next to the scaling-limit prediction.  The
-    comparison is a report, not an assertion: the prediction holds only in
-    the N -> infinity, T -> 0 limit.
+    For each N in settings.N_list the temperature is set to
+    8(d-1) mu omega^2 t / N, an ensemble of Langevin runs is thermalized and
+    recorded, particle trajectories are tracked through joint-diagonalized
+    frames, and the diffusion constant fitted over 5..50 recorded lags is
+    reported next to the scaling-limit prediction.  The comparison is a
+    report, not an assertion: the prediction holds only in the N -> infinity,
+    T -> 0 limit.
     """
     if base_params.d < 2:
         raise ValueError("scaling sweep requires d >= 2")
-    s = run_settings or SweepSettings()
+    s = settings
     dt_rec = s.dt * s.record_every
-    fit_window = s.fit_window or (5 * dt_rec, 50 * dt_rec)
+    fit_window = (5 * dt_rec, 50 * dt_rec)
     points = []
-    for N in N_list:
-        if N < 2:
-            raise ValueError("every N must be >= 2")
-        params = ModelParams(
-            d=base_params.d,
-            N=int(N),
-            mu=base_params.mu,
-            omega=base_params.omega,
-            kappa=base_params.kappa,
-            pair_sum=base_params.pair_sum,
-        )
-        T = temperature_for_scaled(params, t_scaled, N)
+    for N in s.N_list:
+        params = dataclasses.replace(base_params, N=int(N))
+        T = temperature_for_scaled(params, s.t_scaled, N)
         trajectories = []
         frame_residuals = []
         for r in range(s.replicas):
             seed_cfg, seed_burn, seed_run = (
-                int(x) for x in np.random.SeedSequence([s.master_seed, int(N), r]).generate_state(3)
+                int(x) for x in np.random.SeedSequence([master_seed, int(N), r]).generate_state(3)
             )
             cfg = random_config(params, s.spread, seed_cfg)
             burn = IntegratorConfig(
@@ -581,34 +581,30 @@ def scaling_sweep(
                 steps=s.burn_in_steps,
                 gamma=s.gamma * params.omega,
                 temperature=T,
-                seed=seed_burn,
                 record_every=max(1, s.burn_in_steps),
                 project_trace_noise=True,
             )
-            cfg = run(cfg, params, burn).final_config
+            cfg = run(cfg, params, burn, seed_burn).final_config
             measure = IntegratorConfig(
                 mode=LANGEVIN,
                 dt=s.dt,
                 steps=s.steps,
                 gamma=s.gamma * params.omega,
                 temperature=T,
-                seed=seed_run,
                 record_every=s.record_every,
                 record_frames=True,
                 project_trace_noise=True,
             )
-            rec = run(cfg, params, measure)
+            rec = run(cfg, params, measure, seed_run)
             traj = track_particles(rec.frames, rec.times)
             traj.replica_id = r
-            if s.center_particles:
-                # Remove the per-frame collective (trace-mode) motion.
-                traj.positions = traj.positions - traj.positions.mean(axis=1, keepdims=True)
+            # Remove the per-frame collective (trace-mode) motion.
+            traj.positions = traj.positions - traj.positions.mean(axis=1, keepdims=True)
             trajectories.append(traj)
             frame_residuals.append(float(np.mean(traj.residuals)))
 
-        est = estimate_diffusion(trajectories, fit_window, method=s.method,
-                                 seed=s.master_seed + int(N))
-        nu_pred = predicted_diffusion(params, t_scaled)
+        est = estimate_diffusion(trajectories, fit_window, seed=master_seed + int(N))
+        nu_pred = predicted_diffusion(params, s.t_scaled)
 
         # Irrotationality diagnostic at mid-run on a d-dimensional grid.
         mid_t = trajectories[0].times[len(trajectories[0].times) // 2]
@@ -616,7 +612,7 @@ def scaling_sweep(
         lo = np.percentile(all_pos, 5, axis=0)
         hi = np.percentile(all_pos, 95, axis=0)
         grid = Grid(axes=tuple(
-            np.linspace(lo[a], hi[a], s.grid_points) for a in range(params.d)
+            np.linspace(lo[a], hi[a], IRROT_GRID_POINTS) for a in range(params.d)
         ))
         bw = silverman_bandwidth(all_pos[:, 0])
         try:

@@ -4,6 +4,20 @@ Config documents are strict JSON: unknown keys are errors, defaults are
 materialized on parse, and the manifest written next to every artifact
 echoes the full config plus all physics-convention flags, so a run can be
 re-executed byte-identically from its manifest alone.
+
+Each section is filled straight into the type that uses it, and that type's
+``__post_init__`` is the one check on its values.  Sections and keys:
+
+- ``model`` (ModelParams): d, N, mu, omega, kappa, pair_sum
+- ``integrator`` (IntegratorConfig): mode, dt, steps, gamma, temperature,
+  record_every, record_frames, noise_mode, project_trace_noise
+- ``ensemble``: replicas, master_seed, spread
+- ``analysis``: bandwidth
+- ``sweep`` (SweepSettings): t_scaled, N_list, replicas, burn_in_steps, steps,
+  dt, gamma, record_every, spread
+- ``oracle``: grid_points, extent, dt, hbar, mass, sigma0, omega0, p0,
+  walkers, nu_convention
+- ``output``: directory
 """
 
 from __future__ import annotations
@@ -12,46 +26,23 @@ import dataclasses
 import json
 import os
 import tempfile
+import typing
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import __version__
-from .core import UNORDERED, ModelParams
-from .dynamics import (
-    LANGEVIN,
-    MICROCANONICAL,
-    NOISE_ALL,
-    IntegratorConfig,
-    TrajectoryRecord,
-)
+from .core import ModelParams
+from .dynamics import IntegratorConfig, TrajectoryRecord
+from .estimators import SweepSettings
 
 
 class ConfigError(ValueError):
     """Config document rejected; message carries the offending field path."""
 
 
-@dataclass
-class ModelSection:
-    d: int = 2
-    N: int = 4
-    mu: float = 1.0
-    omega: float = 1.0
-    kappa: float = 0.0
-    pair_sum: str = UNORDERED
-
-
-@dataclass
-class IntegratorSection:
-    mode: str = MICROCANONICAL
-    dt: float = 0.01
-    steps: int = 1000
-    gamma: float = 0.0
-    temperature: float = 0.0
-    record_every: int = 1
-    record_frames: bool = False
-    noise_mode: str = NOISE_ALL
-    project_trace_noise: bool = False
+# Section types below follow the runtime types' convention: a rejected value
+# raises ValueError("<field>: ...").
 
 
 @dataclass
@@ -60,28 +51,22 @@ class EnsembleSection:
     master_seed: int = 2024
     spread: float = 0.5
 
+    def __post_init__(self):
+        if self.replicas < 1:
+            raise ValueError("replicas: must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed: must be >= 0")
+        if self.spread < 0:
+            raise ValueError("spread: must be >= 0")
+
 
 @dataclass
 class AnalysisSection:
-    grid_lo: float = -4.0
-    grid_hi: float = 4.0
-    grid_points: int = 64
     bandwidth: float = 0.0  # 0 = Silverman rule
-    fit_window: list = field(default_factory=lambda: [0.0, 0.0])  # 0s = 5..50 recorded lags
-    method: str = "msd_slope"
 
-
-@dataclass
-class SweepSection:
-    t_scaled: float = 0.1
-    N_list: list = field(default_factory=lambda: [8, 16, 32])
-    replicas: int = 8
-    burn_in_steps: int = 2000
-    steps: int = 4000
-    dt: float = 0.01
-    gamma: float = 0.1
-    record_every: int = 5
-    spread: float = 0.5
+    def __post_init__(self):
+        if self.bandwidth < 0:
+            raise ValueError("bandwidth: must be >= 0")
 
 
 @dataclass
@@ -89,7 +74,6 @@ class OracleSection:
     grid_points: int = 512
     extent: float = 24.0  # total box length
     dt: float = 0.001
-    steps: int = 2000
     hbar: float = 1.0
     mass: float = 1.0
     sigma0: float = 1.0
@@ -97,75 +81,51 @@ class OracleSection:
     p0: float = 0.0
     walkers: int = 10000
     nu_convention: str = "both"  # "nelson" (hbar/2m), "direct" (hbar/m), "both"
-    potential: str = "free"  # "free" or "harmonic"
+
+    def __post_init__(self):
+        if self.nu_convention not in ("nelson", "direct", "both"):
+            raise ValueError("nu_convention: must be nelson, direct or both")
 
 
 @dataclass
 class OutputSection:
     directory: str = "out"
-    formats: list = field(default_factory=lambda: ["csv", "json"])
 
 
 @dataclass
 class ExperimentConfig:
-    model: ModelSection = field(default_factory=ModelSection)
-    integrator: IntegratorSection = field(default_factory=IntegratorSection)
+    model: ModelParams = field(default_factory=lambda: ModelParams(d=2, N=4))
+    integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
     ensemble: EnsembleSection = field(default_factory=EnsembleSection)
     analysis: AnalysisSection = field(default_factory=AnalysisSection)
-    sweep: SweepSection = field(default_factory=SweepSection)
+    sweep: SweepSettings = field(default_factory=SweepSettings)
     oracle: OracleSection = field(default_factory=OracleSection)
     output: OutputSection = field(default_factory=OutputSection)
 
-    def model_params(self) -> ModelParams:
-        m = self.model
-        return ModelParams(d=m.d, N=m.N, mu=m.mu, omega=m.omega, kappa=m.kappa,
-                           pair_sum=m.pair_sum)
 
-    def integrator_config(self, seed: int) -> IntegratorConfig:
-        i = self.integrator
-        return IntegratorConfig(
-            mode=i.mode, dt=i.dt, steps=i.steps, gamma=i.gamma,
-            temperature=i.temperature, seed=seed, record_every=i.record_every,
-            record_frames=i.record_frames, noise_mode=i.noise_mode,
-            project_trace_noise=i.project_trace_noise,
-        )
+def _is_a(val, want: type) -> bool:
+    if want is bool:
+        return isinstance(val, bool)
+    if isinstance(val, bool):
+        return False
+    return isinstance(val, (int, float) if want is float else want)
 
 
-def _fill_section(cls, doc: dict, path: str):
+def fill_section(base, doc: dict, path: str):
+    """A copy of the dataclass instance base with doc's values, each checked
+    against its field's annotated type and then by the type's __post_init__."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected an object")
-    defaults = cls()
-    known = {f.name for f in fields(cls)}
-    for key in doc:
-        if key not in known:
+    types = typing.get_type_hints(type(base))
+    for key, val in doc.items():
+        if key not in types:
             raise ConfigError(f"{path}.{key}: unknown key")
-    kwargs = {}
-    for name in known:
-        if name not in doc:
-            continue
-        val = doc[name]
-        want = type(getattr(defaults, name))
-        ok = (
-            isinstance(val, bool) if want is bool
-            else isinstance(val, (int, float)) and not isinstance(val, bool) if want is float
-            else isinstance(val, int) and not isinstance(val, bool) if want is int
-            else isinstance(val, want)
-        )
-        if not ok:
-            raise ConfigError(f"{path}.{name}: expected {want.__name__}")
-        kwargs[name] = val
-    return cls(**kwargs)
-
-
-_SECTIONS = {
-    "model": ModelSection,
-    "integrator": IntegratorSection,
-    "ensemble": EnsembleSection,
-    "analysis": AnalysisSection,
-    "sweep": SweepSection,
-    "oracle": OracleSection,
-    "output": OutputSection,
-}
+        if not _is_a(val, types[key]):
+            raise ConfigError(f"{path}.{key}: expected {types[key].__name__}")
+    try:
+        return dataclasses.replace(base, **doc)
+    except ValueError as e:
+        raise ConfigError(f"{path}.{e}") from e
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -174,52 +134,24 @@ def parse_config(text: str) -> ExperimentConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    if isinstance(doc, dict) and "config" in doc:  # a manifest: re-execute from its config echo
+        doc = doc["config"]
     if not isinstance(doc, dict):
         raise ConfigError("top level: expected an object")
-    if "config" in doc:  # a manifest: re-execute from its config echo
-        doc = doc["config"]
+    sections = [f.name for f in fields(ExperimentConfig)]
     for key in doc:
-        if key not in _SECTIONS:
+        if key not in sections:
             raise ConfigError(f"{key}: unknown section")
+    defaults = ExperimentConfig()
     cfg = ExperimentConfig(**{
-        name: _fill_section(cls, doc.get(name, {}), name)
-        for name, cls in _SECTIONS.items()
+        name: fill_section(getattr(defaults, name), doc.get(name, {}), name)
+        for name in sections
     })
-    _validate(cfg, sweep_requested="sweep" in doc)
-    return cfg
-
-
-def _validate(cfg: ExperimentConfig, sweep_requested: bool):
-    m = cfg.model
-    if m.d < 1:
-        raise ConfigError("model.d: must be >= 1")
-    if m.N < 2:
-        raise ConfigError("model.N: must be >= 2")
-    if m.mu <= 0:
-        raise ConfigError("model.mu: must be > 0")
-    if m.omega <= 0:
-        raise ConfigError("model.omega: must be > 0")
-    if m.kappa < 0:
-        raise ConfigError("model.kappa: must be >= 0")
-    i = cfg.integrator
-    if i.dt <= 0:
-        raise ConfigError("integrator.dt: must be > 0")
-    if i.steps < 0:
-        raise ConfigError("integrator.steps: must be >= 0")
-    if i.mode not in (MICROCANONICAL, LANGEVIN):
-        raise ConfigError(f"integrator.mode: unknown mode {i.mode!r}")
-    if i.mode == LANGEVIN and i.gamma <= 0:
-        raise ConfigError("integrator.gamma: langevin mode requires gamma > 0")
-    if cfg.ensemble.replicas < 1:
-        raise ConfigError("ensemble.replicas: must be >= 1")
-    if sweep_requested and m.d < 2:
+    if "sweep" in doc and cfg.model.d < 2:
         raise ConfigError(
             "sweep: scaling formulas require model.d >= 2 (singular at d = 1)"
         )
-    if cfg.oracle.nu_convention not in ("nelson", "direct", "both"):
-        raise ConfigError("oracle.nu_convention: must be nelson, direct or both")
-    if cfg.oracle.potential not in ("free", "harmonic"):
-        raise ConfigError("oracle.potential: must be free or harmonic")
+    return cfg
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

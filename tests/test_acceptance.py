@@ -161,8 +161,8 @@ def test_criterion_04_thermostat_validity():
     p8 = ModelParams(d=2, N=8)
     cfg = random_config(p8, spread=0.3, seed=3)
     integ = IntegratorConfig(mode="langevin", dt=0.02, steps=20000, gamma=0.5,
-                             temperature=0.3, seed=4, record_every=5)
-    rec = run(cfg, p8, integ)
+                             temperature=0.3, record_every=5)
+    rec = run(cfg, p8, integ, 4)
     rec = dataclasses.replace(rec, times=rec.times[800:],
                               spectra=rec.spectra[800:],
                               energies=rec.energies[800:],
@@ -325,10 +325,10 @@ def test_criterion_09_scaling_trend_report():
     for t_scaled in (0.05, 0.1):
         per_seed = {}
         for master in (101, 202):
-            st = SweepSettings(replicas=4, burn_in_steps=500, steps=1500,
-                               dt=0.02, gamma=0.5, record_every=5, spread=0.3,
-                               master_seed=master)
-            pts = scaling_sweep(base, t_scaled, n_list, st)
+            st = SweepSettings(t_scaled=t_scaled, N_list=n_list, replicas=4,
+                               burn_in_steps=500, steps=1500, dt=0.02, gamma=0.5,
+                               record_every=5, spread=0.3)
+            pts = scaling_sweep(base, st, master)
             per_seed[master] = pts
             for q in pts:
                 for val in (q.nu_hat, q.nu_stderr, q.nu_pred, q.hbar_emergent,

@@ -99,6 +99,52 @@ class TestSimulate:
         assert main(["frobnicate"]) == EXIT_USAGE
 
 
+# (command, section, key, value): values rejected by the runtime type's own
+# check, and the keys that were parsed but never read before they were removed.
+BAD_CONFIGS = [
+    ("simulate", "model", "pair_sum", "bogus"),
+    ("simulate", "integrator", "record_every", 0),
+    ("simulate", "integrator", "noise_mode", "x"),
+    ("sweep", "sweep", "N_list", [1]),
+    ("sweep", "sweep", "replicas", 0),
+    ("simulate", "analysis", "grid_lo", -4.0),
+    ("simulate", "analysis", "grid_hi", 4.0),
+    ("simulate", "analysis", "grid_points", 64),
+    ("simulate", "analysis", "fit_window", [0.0, 0.0]),
+    ("simulate", "analysis", "method", "msd_slope"),
+    ("simulate", "output", "formats", ["csv", "json"]),
+    ("oracle", "oracle", "steps", 2000),
+    ("oracle", "oracle", "potential", "free"),
+]
+
+
+@pytest.mark.parametrize("command,section,key,value", BAD_CONFIGS)
+def test_bad_config_names_field(tmp_path, capsys, command, section, key, value):
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc.setdefault(section, {})[key] = value
+    cfg = write_config(tmp_path, doc)
+    out = os.path.join(tmp_path, "out")
+    assert main([command, "--config", cfg, "--out", out]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"config error: {section}.{key}:" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["simulate", "--replicas", "0"], "config error: ensemble.replicas:"),
+    (["simulate", "--replicas", "-1"], "config error: ensemble.replicas:"),
+    (["simulate", "--seed", "-1"], "config error: ensemble.master_seed:"),
+    (["sweep", "--replicas", "3"], "unrecognized arguments: --replicas"),
+])
+def test_bad_override_usage_exit(tmp_path, capsys, argv, message):
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    out = os.path.join(tmp_path, "out")
+    assert main(argv + ["--config", cfg, "--out", out]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 class TestSweep:
     def test_small_sweep(self, tmp_path):
         doc = {
@@ -123,7 +169,7 @@ class TestSweep:
 class TestOracle:
     def test_report_written(self, tmp_path):
         doc = {"oracle": {"grid_points": 256, "extent": 24.0, "dt": 0.002,
-                          "steps": 500, "walkers": 2000}}
+                          "walkers": 2000}}
         cfg = write_config(tmp_path, doc)
         out = os.path.join(tmp_path, "orc")
         assert main(["oracle", "--config", cfg, "--out", out]) == EXIT_OK
@@ -143,7 +189,7 @@ class TestCompare:
         out = os.path.join(tmp_path, "cmp")
         main(["simulate", "--config", cfg, "--out", out])
         orc_doc = {"oracle": {"grid_points": 128, "extent": 16.0, "dt": 0.002,
-                              "steps": 200, "walkers": 1000}}
+                              "walkers": 1000}}
         orc_cfg = write_config(tmp_path, orc_doc, "orc.json")
         main(["oracle", "--config", orc_cfg, "--out", out])
         rc = main(["compare", "--config", cfg, "--out", out,

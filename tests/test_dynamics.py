@@ -103,9 +103,8 @@ class TestLangevin:
         p = ModelParams(d=2, N=4)
         cfg = random_config(p, spread=0.3, seed=2)
         integ = IntegratorConfig(mode="langevin", dt=0.02, steps=20000,
-                                 gamma=0.5, temperature=0.3, seed=11,
-                                 record_every=5)
-        rec = run(cfg, p, integ)
+                                 gamma=0.5, temperature=0.3, record_every=5)
+        rec = run(cfg, p, integ, 11)
         rec_eq = burn_in_slice(rec, 1000)
         t_est, se = measure_temperature(rec_eq, p)
         assert abs(t_est - 0.3) < 3 * se
@@ -119,9 +118,9 @@ class TestLangevin:
         cfg = random_config(p, spread=0.4, seed=3)
         tr0 = np.array([np.trace(cfg.X[a]) for a in range(2)])
         integ = IntegratorConfig(mode="langevin", dt=0.01, steps=2000,
-                                 gamma=0.5, temperature=0.3, seed=4,
+                                 gamma=0.5, temperature=0.3,
                                  record_every=2000, noise_mode="offdiagonal")
-        rec = run(cfg, p, integ)
+        rec = run(cfg, p, integ, 4)
         tr1 = np.array([np.trace(rec.final_config.X[a]) for a in range(2)])
         assert np.max(np.abs(tr1 - tr0)) < 1e-10
 
@@ -129,18 +128,18 @@ class TestLangevin:
         p = ModelParams(d=2, N=6, kappa=0.0)
         cfg = random_config(p, spread=0.4, seed=5)
         integ = IntegratorConfig(mode="langevin", dt=0.01, steps=1000,
-                                 gamma=0.5, temperature=0.5, seed=6,
+                                 gamma=0.5, temperature=0.5,
                                  record_every=1000, project_trace_noise=True)
-        rec = run(cfg, p, integ)
+        rec = run(cfg, p, integ, 6)
         assert np.max(np.abs(rec.com_momenta[-1] - rec.com_momenta[0])) < 1e-10
 
     def test_determinism(self):
         p = ModelParams(d=2, N=4)
         cfg = random_config(p, spread=0.3, seed=1)
         integ = IntegratorConfig(mode="langevin", dt=0.01, steps=200,
-                                 gamma=0.5, temperature=0.2, seed=42)
-        r1 = run(cfg, p, integ)
-        r2 = run(cfg, p, integ)
+                                 gamma=0.5, temperature=0.2)
+        r1 = run(cfg, p, integ, 42)
+        r2 = run(cfg, p, integ, 42)
         lam1 = np.stack([s.lam for s in r1.spectra])
         lam2 = np.stack([s.lam for s in r2.spectra])
         assert np.array_equal(lam1, lam2)
@@ -228,8 +227,8 @@ class TestEquilibration:
         p = ModelParams(d=2, N=3)
         cfg = random_config(p, spread=0.3, seed=9)
         integ = IntegratorConfig(mode="langevin", dt=0.02, steps=500,
-                                 gamma=0.5, temperature=0.2, seed=10)
-        out, info = equilibrate(cfg, p, integ, tol=0.5, max_steps=20000)
+                                 gamma=0.5, temperature=0.2)
+        out, info = equilibrate(cfg, p, integ, 10, tol=0.5, max_steps=20000)
         assert info["burn_in_steps"] <= 20000
         assert "converged" in info
         assert np.isfinite(potential_energy(out, p))

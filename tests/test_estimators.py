@@ -23,6 +23,7 @@ from matrixqm.estimators import (
     temperature_for_scaled,
     track_particles,
 )
+from matrixqm.estimators import _match
 
 
 def brownian_trajectories(nu, R, T, dt, seed, x0=None):
@@ -91,6 +92,17 @@ class TestTracking:
         trajs = track_particles(frames, times)
         jumps = np.max(np.abs(np.diff(trajs.positions, axis=0)))
         assert jumps < 0.2  # no label swap (a swap would jump by ~2)
+
+
+    def test_match_is_optimal_beyond_64_particles(self):
+        # 33 far-apart pairs at (10k, 0) and (10k + 1, 0) move by +0.9 along x.
+        # Pairing each particle with its own moved copy costs 0.81 per
+        # particle; nearest-first greedy pairing takes the 0.01 cross match
+        # and is left with a 3.61 one.
+        base = np.array([[10.0 * k + dx, 0.0] for k in range(33) for dx in (0.0, 1.0)])
+        p = _match(base, base + [0.9, 0.0])
+        assert len(base) == 66
+        assert np.array_equal(p, np.arange(66))
 
 
 class TestDensity:
@@ -296,10 +308,9 @@ class TestFormulaLayer:
 class TestScalingSweep:
     def test_smoke_and_determinism(self):
         p = ModelParams(d=2, N=4)
-        st = SweepSettings(replicas=2, burn_in_steps=100, steps=300, dt=0.02,
-                           gamma=0.5, record_every=5, spread=0.3,
-                           master_seed=7)
-        pts = scaling_sweep(p, 0.1, [4], st)
+        st = SweepSettings(t_scaled=0.1, N_list=[4], replicas=2, burn_in_steps=100,
+                           steps=300, dt=0.02, gamma=0.5, record_every=5, spread=0.3)
+        pts = scaling_sweep(p, st, 7)
         assert len(pts) == 1
         q = pts[0]
         assert q.N == 4
@@ -308,5 +319,5 @@ class TestScalingSweep:
         for val in (q.nu_hat, q.nu_stderr, q.nu_pred, q.hbar_emergent,
                     q.irrot_residual, q.mean_frame_residual):
             assert np.isfinite(val)
-        pts2 = scaling_sweep(p, 0.1, [4], st)
+        pts2 = scaling_sweep(p, st, 7)
         assert pts2[0].nu_hat == q.nu_hat

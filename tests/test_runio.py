@@ -5,9 +5,12 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matrixqm.core import ModelParams, random_config
 from matrixqm.dynamics import IntegratorConfig, run
+from matrixqm.estimators import SweepSettings
 from matrixqm.runio import (
     ConfigError,
     ExperimentConfig,
@@ -77,13 +80,73 @@ class TestParse:
         assert cfg2 == cfg
 
     def test_model_params_bridge(self):
-        cfg = parse_config('{"model": {"d": 3, "N": 6, "mu": 2.0}}')
-        p = cfg.model_params()
-        assert isinstance(p, ModelParams)
-        assert (p.d, p.N, p.mu) == (3, 6, 2.0)
-        ic = cfg.integrator_config(seed=7)
-        assert isinstance(ic, IntegratorConfig)
-        assert ic.seed == 7
+        cfg = parse_config('{"model": {"d": 3, "N": 6, "mu": 2.0}, '
+                           '"integrator": {"dt": 0.5}, "sweep": {"N_list": [4, 6]}}')
+        assert isinstance(cfg.model, ModelParams)
+        assert (cfg.model.d, cfg.model.N, cfg.model.mu) == (3, 6, 2.0)
+        assert isinstance(cfg.integrator, IntegratorConfig)
+        assert cfg.integrator.dt == 0.5
+        assert isinstance(cfg.sweep, SweepSettings)
+        assert cfg.sweep.N_list == [4, 6]
+
+
+# Every settable config value; a manifest echoes exactly these.
+CONFIG_KEYS = {
+    "model": ["N", "d", "kappa", "mu", "omega", "pair_sum"],
+    "integrator": ["dt", "gamma", "mode", "noise_mode", "project_trace_noise",
+                   "record_every", "record_frames", "steps", "temperature"],
+    "ensemble": ["master_seed", "replicas", "spread"],
+    "analysis": ["bandwidth"],
+    "sweep": ["N_list", "burn_in_steps", "dt", "gamma", "record_every", "replicas",
+              "spread", "steps", "t_scaled"],
+    "oracle": ["dt", "extent", "grid_points", "hbar", "mass", "nu_convention",
+               "omega0", "p0", "sigma0", "walkers"],
+    "output": ["directory"],
+}
+
+_pos = st.floats(min_value=1e-3, max_value=1e3)
+_nonneg = st.floats(min_value=0.0, max_value=1e3)
+
+
+def _section(required=None, **optional):
+    return st.fixed_dictionaries(required or {}, optional=optional)
+
+
+VALID_DOCS = _section(
+    model=_section(d=st.integers(2, 4), N=st.integers(2, 12), mu=_pos, omega=_pos,
+                   kappa=_nonneg,
+                   pair_sum=st.sampled_from(["ordered_pairs", "unordered_pairs"])),
+    integrator=_section(
+        {"gamma": _pos},
+        mode=st.sampled_from(["microcanonical", "langevin"]), dt=_pos,
+        steps=st.integers(0, 10**6), temperature=_nonneg, record_every=st.integers(1, 100),
+        record_frames=st.booleans(), noise_mode=st.sampled_from(["all", "offdiagonal"]),
+        project_trace_noise=st.booleans()),
+    ensemble=_section(replicas=st.integers(1, 64), master_seed=st.integers(0, 2**32),
+                      spread=_nonneg),
+    analysis=_section(bandwidth=_nonneg),
+    sweep=_section(
+        {"record_every": st.integers(1, 20), "steps": st.integers(200, 10**5)},
+        t_scaled=_nonneg, N_list=st.lists(st.integers(2, 64), min_size=1, max_size=4),
+        replicas=st.integers(1, 16), burn_in_steps=st.integers(0, 10**5), dt=_pos,
+        gamma=_pos, spread=_nonneg),
+    oracle=_section(grid_points=st.integers(16, 4096), extent=_pos, dt=_pos, hbar=_pos,
+                    mass=_pos, sigma0=_pos, omega0=_pos,
+                    p0=st.floats(min_value=-10.0, max_value=10.0),
+                    walkers=st.integers(2, 10**5),
+                    nu_convention=st.sampled_from(["nelson", "direct", "both"])),
+    output=_section(directory=st.text(max_size=12)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(VALID_DOCS)
+def test_valid_documents_round_trip(doc):
+    cfg = parse_config(json.dumps(doc))
+    assert parse_config(serialize_config(cfg)) == cfg
+    manifest = build_manifest(cfg, [], 0.0)
+    assert parse_config(json.dumps(manifest)) == cfg
+    assert {name: sorted(sec) for name, sec in manifest["config"].items()} == CONFIG_KEYS
 
 
 class TestSeeding:
@@ -106,9 +169,9 @@ class TestCsv:
         p = ModelParams(d=2, N=3)
         cfg = random_config(p, spread=0.4, seed=1)
         integ = IntegratorConfig(mode="langevin", dt=0.01, steps=40, gamma=0.5,
-                                 temperature=0.2, seed=2, record_every=10,
+                                 temperature=0.2, record_every=10,
                                  record_frames=frames)
-        return run(cfg, p, integ)
+        return run(cfg, p, integ, 2)
 
     def test_record_round_trip(self):
         rec = self.make_record()
