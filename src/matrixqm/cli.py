@@ -118,6 +118,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
+    if cfg.model.d < 2:
+        print("config error: sweep: scaling formulas require model.d >= 2 (singular at d = 1)",
+              file=sys.stderr)
+        return EXIT_USAGE
     out = _out_dir(cfg, args)
     t0 = time.monotonic()
     try:

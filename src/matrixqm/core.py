@@ -227,11 +227,11 @@ def joint_diagonalize(
     N = config.N
     d = config.d
     if initial_frame is not None:
-        O = initial_frame.copy()
+        O = initial_frame
         A = np.stack([O @ config.X[a] @ O.T for a in range(d)])
     else:
         O = np.eye(N)
-        A = config.X.copy()
+        A = config.X
 
     # Stop when every rotation in a sweep is below this angle threshold.
     scale = max(np.max(np.abs(A)), 1.0)
@@ -245,21 +245,23 @@ def joint_diagonalize(
     # disjoint (p, q) couples.  Disjoint pairs do not feed each other's Givens
     # angles (the angle for (p, q) uses only the pp, qq, pq entries), so the
     # rotations of one round can be computed from a common snapshot and applied
-    # as a single vectorized block update.
+    # together as one dense orthogonal matrix G.  Each round also keeps the
+    # (rows, cols) of G's (p,p), (q,q), (p,q), (q,p) entries.
     slots = list(range(N)) + ([N] if N % 2 else [])  # N marks a bye
     M = len(slots)
     rounds = []
     for _ in range(M - 1):
         pairs = [(slots[i], slots[M - 1 - i]) for i in range(M // 2)]
         pairs = [(min(p, q), max(p, q)) for p, q in pairs if N not in (p, q)]
-        rounds.append((np.array([p for p, _ in pairs]), np.array([q for _, q in pairs])))
+        p, q = np.array([p for p, _ in pairs]), np.array([q for _, q in pairs])
+        rounds.append((p, q, (np.concatenate([p, q, p, q]), np.concatenate([p, q, q, p]))))
         slots = [slots[0]] + [slots[-1]] + slots[1:-1]
 
     converged = False
     prev_off2 = _off2(A)
     for _ in range(max_sweeps):
         largest = 0.0
-        for p, q in rounds:
+        for p, q, at in rounds:
             # Optimal Givens angles for real symmetric matrices
             # (Cardoso-Souloumiac joint-diagonalization criterion).
             ton = A[:, p, p] - A[:, q, q]  # (d, k)
@@ -276,21 +278,11 @@ def joint_diagonalize(
             c = np.where(skip, 1.0, c)
             s = np.where(skip, 0.0, s)
             largest = max(largest, float(np.max(np.abs(s))))
-            # A <- R A R^T restricted to the paired rows/columns
-            cb = c[None, :, None]
-            sb = s[None, :, None]
-            rows_p = cb * A[:, p, :] + sb * A[:, q, :]
-            rows_q = -sb * A[:, p, :] + cb * A[:, q, :]
-            A[:, p, :] = rows_p
-            A[:, q, :] = rows_q
-            cols_p = cb * A[:, :, p].transpose(0, 2, 1) + sb * A[:, :, q].transpose(0, 2, 1)
-            cols_q = -sb * A[:, :, p].transpose(0, 2, 1) + cb * A[:, :, q].transpose(0, 2, 1)
-            A[:, :, p] = cols_p.transpose(0, 2, 1)
-            A[:, :, q] = cols_q.transpose(0, 2, 1)
-            op = c[:, None] * O[p, :] + s[:, None] * O[q, :]
-            oq = -s[:, None] * O[p, :] + c[:, None] * O[q, :]
-            O[p, :] = op
-            O[q, :] = oq
+            # A <- G A G^T and O <- G O; G is the identity off the paired indices
+            G = np.eye(N)
+            G[at] = np.concatenate([c, c, s, -s])
+            A = G @ A @ G.T
+            O = G @ O
         if largest <= sin_tol:
             converged = True
             break

@@ -25,13 +25,15 @@ class EigenTrajectory:
     """Identity-matched particle positions over time for one replica.
 
     positions has shape (T, N, d); residuals is the per-frame joint
-    diagonalization off-diagonal norm (zeros for synthetic data).
+    diagonalization off-diagonal norm and converged its per-frame convergence
+    flag (zeros and all True for synthetic data).
     """
 
     times: np.ndarray
     positions: np.ndarray
     residuals: np.ndarray | None = None
     replica_id: int = 0
+    converged: np.ndarray | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -42,6 +44,8 @@ class EigenTrajectory:
             raise ValueError("times and positions disagree in length")
         if self.residuals is None:
             self.residuals = np.zeros(len(self.times))
+        if self.converged is None:
+            self.converged = np.ones(len(self.times), dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -118,6 +122,7 @@ class ScalingPoint:
     hbar_emergent: float
     irrot_residual: float = 0.0
     mean_frame_residual: float = 0.0
+    nonconverged_frames: int = 0  # Jacobi frames that hit max_sweeps, over all replicas
 
 
 # ---------------------------------------------------------------------------
@@ -137,17 +142,16 @@ def track_particles(frames: list, times) -> EigenTrajectory:
         raise ValueError("no frames")
     n = frames[0].positions.shape[0]
     out = [frames[0].positions]
-    residuals = [frames[0].residual]
     for fr in frames[1:]:
         if fr.positions.shape[0] != n:
             raise ValueError("particle count changes between frames")
         p = _match(out[-1], fr.positions)
         out.append(fr.positions[p])
-        residuals.append(fr.residual)
     return EigenTrajectory(
         times=np.asarray(times, dtype=float),
         positions=np.stack(out),
-        residuals=np.array(residuals),
+        residuals=np.array([fr.residual for fr in frames]),
+        converged=np.array([fr.converged for fr in frames]),
     )
 
 
@@ -569,7 +573,6 @@ def scaling_sweep(
         params = dataclasses.replace(base_params, N=int(N))
         T = temperature_for_scaled(params, s.t_scaled, N)
         trajectories = []
-        frame_residuals = []
         for r in range(s.replicas):
             seed_cfg, seed_burn, seed_run = (
                 int(x) for x in np.random.SeedSequence([master_seed, int(N), r]).generate_state(3)
@@ -601,7 +604,6 @@ def scaling_sweep(
             # Remove the per-frame collective (trace-mode) motion.
             traj.positions = traj.positions - traj.positions.mean(axis=1, keepdims=True)
             trajectories.append(traj)
-            frame_residuals.append(float(np.mean(traj.residuals)))
 
         est = estimate_diffusion(trajectories, fit_window, seed=master_seed + int(N))
         nu_pred = predicted_diffusion(params, s.t_scaled)
@@ -630,6 +632,7 @@ def scaling_sweep(
             nu_pred=nu_pred,
             hbar_emergent=emergent_hbar(params, est.nu_hat),
             irrot_residual=irrot,
-            mean_frame_residual=float(np.mean(frame_residuals)),
+            mean_frame_residual=float(np.mean([np.mean(tr.residuals) for tr in trajectories])),
+            nonconverged_frames=int(sum(np.sum(~tr.converged) for tr in trajectories)),
         ))
     return points

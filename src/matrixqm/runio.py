@@ -1,9 +1,9 @@
 """Experiment configuration, manifests and (de)serialization.
 
-Config documents are strict JSON: unknown keys are errors, defaults are
-materialized on parse, and the manifest written next to every artifact
-echoes the full config plus all physics-convention flags, so a run can be
-re-executed byte-identically from its manifest alone.
+Config documents are strict JSON: unknown keys and non-finite numbers are
+errors, defaults are materialized on parse, and the manifest written next to
+every artifact echoes the full config plus all physics-convention flags, so a
+run can be re-executed byte-identically from its manifest alone.
 
 Each section is filled straight into the type that uses it, and that type's
 ``__post_init__`` is the one check on its values.  Sections and keys:
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import tempfile
 import typing
@@ -83,6 +84,13 @@ class OracleSection:
     nu_convention: str = "both"  # "nelson" (hbar/2m), "direct" (hbar/m), "both"
 
     def __post_init__(self):
+        for name in ("extent", "dt", "hbar", "mass", "sigma0", "omega0"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name}: must be > 0")
+        if self.grid_points < 2:
+            raise ValueError("grid_points: must be >= 2")
+        if self.walkers < 1:
+            raise ValueError("walkers: must be >= 1")
         if self.nu_convention not in ("nelson", "direct", "both"):
             raise ValueError("nu_convention: must be nelson, direct or both")
 
@@ -122,6 +130,8 @@ def fill_section(base, doc: dict, path: str):
             raise ConfigError(f"{path}.{key}: unknown key")
         if not _is_a(val, types[key]):
             raise ConfigError(f"{path}.{key}: expected {types[key].__name__}")
+        if isinstance(val, float) and not math.isfinite(val):
+            raise ConfigError(f"{path}.{key}: must be finite, got {val}")
     try:
         return dataclasses.replace(base, **doc)
     except ValueError as e:
@@ -143,15 +153,10 @@ def parse_config(text: str) -> ExperimentConfig:
         if key not in sections:
             raise ConfigError(f"{key}: unknown section")
     defaults = ExperimentConfig()
-    cfg = ExperimentConfig(**{
+    return ExperimentConfig(**{
         name: fill_section(getattr(defaults, name), doc.get(name, {}), name)
         for name in sections
     })
-    if "sweep" in doc and cfg.model.d < 2:
-        raise ConfigError(
-            "sweep: scaling formulas require model.d >= 2 (singular at d = 1)"
-        )
-    return cfg
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -243,7 +248,8 @@ def load_record_csv(text: str) -> dict:
 
 SWEEP_COLUMNS = [
     "N", "T", "t_scaled", "nu_hat", "nu_stderr", "nu_pred", "hbar_emergent",
-    "irrot_residual", "mean_frame_residual", "pair_sum", "nu_convention",
+    "irrot_residual", "mean_frame_residual", "nonconverged_frames", "pair_sum",
+    "nu_convention",
 ]
 
 
@@ -253,7 +259,7 @@ def sweep_to_csv(points, pair_sum: str, nu_convention: str) -> str:
         row = [
             str(p.N), _fmt(p.T), _fmt(p.t_scaled), _fmt(p.nu_hat), _fmt(p.nu_stderr),
             _fmt(p.nu_pred), _fmt(p.hbar_emergent), _fmt(p.irrot_residual),
-            _fmt(p.mean_frame_residual), pair_sum, nu_convention,
+            _fmt(p.mean_frame_residual), str(p.nonconverged_frames), pair_sum, nu_convention,
         ]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

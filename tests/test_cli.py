@@ -98,6 +98,17 @@ class TestSimulate:
     def test_usage_error_on_unknown_command(self):
         assert main(["frobnicate"]) == EXIT_USAGE
 
+    def test_d1_manifest_reexecution_byte_identical(self, tmp_path):
+        cfg = write_config(tmp_path, {"model": {"d": 1, "N": 3}})
+        out1 = os.path.join(tmp_path, "o1")
+        out2 = os.path.join(tmp_path, "o2")
+        assert main(["simulate", "--config", cfg, "--out", out1]) == EXIT_OK
+        manifest = os.path.join(out1, "manifest.json")
+        assert main(["simulate", "--config", manifest, "--out", out2]) == EXIT_OK
+        a = open(os.path.join(out1, "record_000.csv"), "rb").read()
+        b = open(os.path.join(out2, "record_000.csv"), "rb").read()
+        assert a == b
+
 
 # (command, section, key, value): values rejected by the runtime type's own
 # check, and the keys that were parsed but never read before they were removed.
@@ -115,6 +126,14 @@ BAD_CONFIGS = [
     ("simulate", "output", "formats", ["csv", "json"]),
     ("oracle", "oracle", "steps", 2000),
     ("oracle", "oracle", "potential", "free"),
+    ("oracle", "oracle", "dt", 0.0),
+    ("oracle", "oracle", "extent", -24.0),
+    ("oracle", "oracle", "hbar", 0.0),
+    ("oracle", "oracle", "mass", -1.0),
+    ("oracle", "oracle", "sigma0", 0.0),
+    ("oracle", "oracle", "omega0", 0.0),
+    ("oracle", "oracle", "grid_points", 1),
+    ("oracle", "oracle", "walkers", 0),
 ]
 
 
@@ -127,6 +146,24 @@ def test_bad_config_names_field(tmp_path, capsys, command, section, key, value):
     assert main([command, "--config", cfg, "--out", out]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert f"config error: {section}.{key}:" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("text,field", [
+    ('{"integrator": {"dt": NaN}}', "integrator.dt"),
+    ('{"model": {"kappa": Infinity}}', "model.kappa"),
+    ('{"oracle": {"p0": -Infinity}}', "oracle.p0"),
+    ('{"ensemble": {"spread": 1e999}}', "ensemble.spread"),
+])
+def test_non_finite_number_rejected(tmp_path, capsys, text, field):
+    cfg = os.path.join(tmp_path, "cfg.json")
+    with open(cfg, "w") as fh:
+        fh.write(text)
+    out = os.path.join(tmp_path, "out")
+    assert main(["simulate", "--config", cfg, "--out", out]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"config error: {field}: must be finite" in err
     assert "Traceback" not in err
     assert not os.path.exists(out)
 
@@ -146,6 +183,14 @@ def test_bad_override_usage_exit(tmp_path, capsys, argv, message):
 
 
 class TestSweep:
+    def test_d1_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"model": {"d": 1, "N": 3}})
+        out = os.path.join(tmp_path, "sw")
+        assert main(["sweep", "--config", cfg, "--out", out]) == EXIT_USAGE
+        assert "config error: sweep: scaling formulas require model.d >= 2" in (
+            capsys.readouterr().err)
+        assert not os.path.exists(out)
+
     def test_small_sweep(self, tmp_path):
         doc = {
             "model": {"d": 2, "N": 4},

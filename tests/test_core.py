@@ -3,6 +3,8 @@ gauge covariance, and joint diagonalization."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matrixqm.core import (
     ORDERED,
@@ -280,6 +282,57 @@ class TestJointDiagonalization:
         fr2 = joint_diagonalize(gauge_transform(cfg, random_special_orthogonal(5, rng)))
         assert np.max(np.abs(fr.positions - fr2.positions)) < 1e-6
         assert fr2.residual == pytest.approx(fr.residual, rel=1e-6)
+
+
+# (N, d, seed); odd N exercises the bye slot of the round-robin schedule.
+JD_CASES = st.tuples(st.integers(2, 12), st.sampled_from([1, 2, 3]), st.integers(0, 2**32 - 1))
+
+
+def near_commuting(N, d, seed, eps):
+    """R^T (D_a + eps S_a) R with diagonal D_a, symmetric S_a and R in SO(N).
+
+    Near a commuting family the joint-diagonalizing frame is unique up to
+    permutation and sign, so the positions are well defined.  Far from one
+    (e.g. random_config at spread 0.5) the Jacobi objective has several local
+    optima, and starts from different frames can end in different ones.
+    """
+    rng = np.random.default_rng(seed)
+    D = np.stack([np.diag(rng.normal(size=N)) for _ in range(d)])
+    S = random_config(ModelParams(d=d, N=N), 1.0, rng).X
+    R = random_special_orthogonal(N, rng)
+    X = np.einsum("ji,ajk,kl->ail", R, D + eps * S, R)
+    return MatrixConfiguration(X=X, V=np.zeros_like(X)), D, rng
+
+
+class TestJointDiagonalizationProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(JD_CASES)
+    def test_frame_is_special_orthogonal(self, case):
+        N, d, seed = case
+        fr = joint_diagonalize(random_config(ModelParams(d=d, N=N), 0.5, seed))
+        assert np.max(np.abs(fr.frame @ fr.frame.T - np.eye(N))) < 1e-12
+        assert abs(np.linalg.det(fr.frame) - 1.0) < 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(JD_CASES)
+    def test_positions_invariant_under_conjugation(self, case):
+        N, d, seed = case
+        cfg, _, rng = near_commuting(N, d, seed, eps=0.05)
+        ref = joint_diagonalize(cfg).positions
+        rotated = gauge_transform(cfg, random_special_orthogonal(N, rng))
+        P = np.eye(N)[rng.permutation(N)]
+        permuted = MatrixConfiguration(X=P @ cfg.X @ P.T, V=np.zeros_like(cfg.X))
+        for other in (rotated, permuted):
+            assert np.max(np.abs(joint_diagonalize(other).positions - ref)) < 1e-6
+
+    @settings(max_examples=50, deadline=None)
+    @given(JD_CASES)
+    def test_commuting_family_recovered(self, case):
+        N, d, seed = case
+        cfg, D, _ = near_commuting(N, d, seed, eps=0.0)
+        truth = np.stack([np.diag(D[a]) for a in range(d)], axis=1)
+        truth = truth[np.lexsort(truth.T[::-1])]
+        assert np.max(np.abs(joint_diagonalize(cfg).positions - truth)) < 1e-10
 
 
 class TestRandomConfig:

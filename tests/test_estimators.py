@@ -93,6 +93,15 @@ class TestTracking:
         jumps = np.max(np.abs(np.diff(trajs.positions, axis=0)))
         assert jumps < 0.2  # no label swap (a swap would jump by ~2)
 
+    def test_convergence_flags_and_residuals_carried(self):
+        from matrixqm.core import ParticleFrame
+        pos = np.array([[0.0, 0.0], [1.0, 0.0]])
+        flags = [True, False, True]
+        frames = [ParticleFrame(positions=pos, residual=0.1 * k, frame=np.eye(2),
+                                converged=c) for k, c in enumerate(flags)]
+        trajs = track_particles(frames, np.arange(3.0))
+        assert trajs.converged.tolist() == flags
+        assert np.array_equal(trajs.residuals, [0.0, 0.1, 0.2])
 
     def test_match_is_optimal_beyond_64_particles(self):
         # 33 far-apart pairs at (10k, 0) and (10k + 1, 0) move by +0.9 along x.
@@ -319,5 +328,20 @@ class TestScalingSweep:
         for val in (q.nu_hat, q.nu_stderr, q.nu_pred, q.hbar_emergent,
                     q.irrot_residual, q.mean_frame_residual):
             assert np.isfinite(val)
+        assert q.nonconverged_frames == 0
         pts2 = scaling_sweep(p, st, 7)
         assert pts2[0].nu_hat == q.nu_hat
+
+    def test_nonconverged_frames_summed_over_replicas(self, monkeypatch):
+        import dataclasses
+
+        from matrixqm import dynamics
+
+        jd = dynamics.joint_diagonalize
+        monkeypatch.setattr(dynamics, "joint_diagonalize", lambda *a, **k: dataclasses.replace(
+            jd(*a, **k), converged=False))
+        p = ModelParams(d=2, N=4)
+        st = SweepSettings(t_scaled=0.1, N_list=[4], replicas=2, burn_in_steps=0,
+                           steps=100, dt=0.02, gamma=0.5, record_every=5, spread=0.3)
+        # 21 recorded frames (t = 0 and every 5th of 100 steps) per replica
+        assert scaling_sweep(p, st, 7)[0].nonconverged_frames == 2 * 21
