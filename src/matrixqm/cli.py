@@ -244,6 +244,11 @@ def _trajectory_samples(columns: dict) -> tuple[np.ndarray, dict]:
     return samples, diag
 
 
+def _input_error(path: str, e: ValueError) -> int:
+    print(f"input error: {path}: {e}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def cmd_compare(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(cfg, args)
@@ -251,19 +256,31 @@ def cmd_compare(args) -> int:
         with open(args.trajectory) as fh:
             traj_text = fh.read()
         with open(args.oracle_file) as fh:
-            x, psi = load_wavefunction_csv(fh.read())
+            oracle_text = fh.read()
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return EXIT_IO
+    try:
+        x, psi = load_wavefunction_csv(oracle_text)
+    except ValueError as e:
+        return _input_error(args.oracle_file, e)
+    # Oracle-format input on both sides means a direct density comparison.
+    oracle_both = traj_text.startswith("x,")
+    try:
+        if oracle_both:
+            x_b, psi_b = load_wavefunction_csv(traj_text)
+            if len(x_b) != len(x):
+                raise ValueError(f"{len(x_b)} grid points, the oracle file has {len(x)}")
+        else:
+            samples, diag = _trajectory_samples(load_record_csv(traj_text))
+    except ValueError as e:
+        return _input_error(args.trajectory, e)
 
     h = x[1] - x[0]
     rho_oracle = np.abs(psi) ** 2
     rho_oracle = rho_oracle / (rho_oracle.sum() * h)
 
-    first_line = traj_text.splitlines()[0]
-    if first_line.startswith("x,"):
-        # Oracle-format input on both sides: direct density comparison.
-        _, psi_b = load_wavefunction_csv(traj_text)
+    if oracle_both:
         rho_b = np.abs(psi_b) ** 2
         rho_b = rho_b / (rho_b.sum() * h)
         verdict = {
@@ -272,8 +289,6 @@ def cmd_compare(args) -> int:
             "diagnostics": {},
         }
     else:
-        columns = load_record_csv(traj_text)
-        samples, diag = _trajectory_samples(columns)
         bw = cfg.analysis.bandwidth or silverman_bandwidth(samples)
         rho_m = walker_density(samples, x, bw)
         verdict = {

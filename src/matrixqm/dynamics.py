@@ -339,7 +339,7 @@ def equilibrate(
     t0 = cfg.time
     f = force_raw(X, params)
     while steps_done < max_steps:
-        for _ in range(chunk_steps):
+        for _ in range(min(chunk_steps, max_steps - steps_done)):
             X, V, f = _langevin_raw(
                 X, V, f, params, integ.dt, integ.gamma, integ.temperature, rng, integ
             )
@@ -365,7 +365,8 @@ def equilibrate(
                 "T_est": T_win,
                 "tau_U": tau,
             }
+    last = f"last window T={np.mean(T_hist[-16:]):.4g}" if T_hist else "no T sample recorded"
     raise RuntimeError(
         f"equilibrate did not converge after {steps_done} steps "
-        f"(last window T={np.mean(T_hist[-16:]):.4g}, target {integ.temperature:.4g})"
+        f"({last}, target {integ.temperature:.4g})"
     )

@@ -14,7 +14,6 @@ import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import ModelParams, ParticleFrame, random_config
 from .dynamics import LANGEVIN, IntegratorConfig, run
@@ -131,6 +130,10 @@ class ScalingPoint:
 
 def _match(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
     """Permutation p minimizing sum |prev_i - cur_{p(i)}|^2."""
+    # Imported here: tracking is the only scipy.optimize user, and the import
+    # costs every other command most of its start-up time.
+    from scipy.optimize import linear_sum_assignment
+
     d2 = np.sum((prev[:, None, :] - cur[None, :, :]) ** 2, axis=2)
     _, cols = linear_sum_assignment(d2)
     return cols

@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 PERIODIC = "periodic"
 DIRICHLET = "dirichlet"
@@ -140,6 +139,9 @@ def _evolve_split_step(wf: WaveFunction, V: np.ndarray, dt: float, steps: int) -
 
 def _evolve_crank_nicolson(wf: WaveFunction, V: np.ndarray, dt: float, steps: int) -> np.ndarray:
     # Cayley form (1 + i dt H / 2hbar) psi' = (1 - i dt H / 2hbar) psi, psi = 0 at the ends.
+    # scipy is imported here so that the periodic solver never loads it.
+    from scipy.linalg import solve_banded
+
     n = len(wf.x)
     h = wf.h
     t = wf.hbar**2 / (2.0 * wf.mass * h**2)
@@ -304,9 +306,22 @@ def compare_densities(rho_a, rho_b, metric: str = "L1", h: float | None = None) 
     raise ValueError(f"unknown metric {metric!r}")
 
 
+# Grid rows per block in walker_density: its temporaries are this many rows
+# by len(walkers), not len(grid_x) by len(walkers).
+KDE_BLOCK_ROWS = 64
+
+
 def walker_density(walkers: np.ndarray, grid_x: np.ndarray, bandwidth: float) -> np.ndarray:
-    """Gaussian KDE of walker positions on grid_x, normalized on the grid."""
+    """Gaussian KDE of walker positions on grid_x, normalized on the grid.
+
+    Each grid point's sum still runs over the whole walker axis, so the
+    blocking leaves every bit of the result as the one-block formula gives it.
+    """
     h = grid_x[1] - grid_x[0]
-    d2 = (grid_x[:, None] - np.asarray(walkers)[None, :]) ** 2
-    rho = np.exp(-0.5 * d2 / bandwidth**2).sum(axis=1)
+    walkers = np.asarray(walkers)
+    rho = np.concatenate([
+        np.exp(-0.5 * (grid_x[i:i + KDE_BLOCK_ROWS, None] - walkers[None, :]) ** 2
+               / bandwidth**2).sum(axis=1)
+        for i in range(0, len(grid_x), KDE_BLOCK_ROWS)
+    ])
     return rho / (rho.sum() * h)

@@ -215,7 +215,8 @@ def _fmt(x: float) -> str:
 
 def record_to_csv(record: TrajectoryRecord) -> str:
     """Fixed column order: time, K, U, momenta, per-direction eigenvalues,
-    then (if frames were recorded) particle positions and the frame residual."""
+    then (if frames were recorded) particle positions, the frame residual and
+    whether its Jacobi iteration converged (1) or hit its sweep cap (0)."""
     d = record.com_momenta.shape[1]
     N = record.spectra[0].lam.shape[1]
     cols = ["time", "K", "U"]
@@ -224,7 +225,7 @@ def record_to_csv(record: TrajectoryRecord) -> str:
     with_frames = record.frames is not None
     if with_frames:
         cols += [f"pos_{i}_{a}" for i in range(N) for a in range(d)]
-        cols += ["jd_residual"]
+        cols += ["jd_residual", "jd_converged"]
     lines = [",".join(cols)]
     for idx in range(len(record.times)):
         row = [record.times[idx], record.energies[idx, 0], record.energies[idx, 1]]
@@ -233,16 +234,32 @@ def record_to_csv(record: TrajectoryRecord) -> str:
         if with_frames:
             fr = record.frames[idx]
             row += list(fr.positions.ravel())
-            row.append(fr.residual)
+            row += [fr.residual, int(fr.converged)]
         lines.append(",".join(_fmt(x) for x in row))
     return "\n".join(lines) + "\n"
 
 
+def _numeric_rows(lines: list, width: int) -> np.ndarray:
+    """The float matrix of a CSV body; ValueError names the first bad data row."""
+    rows = []
+    for k, ln in enumerate(lines, 1):
+        vals = ln.split(",")
+        if len(vals) != width:
+            raise ValueError(f"data row {k}: {len(vals)} fields, the header has {width}")
+        try:
+            rows.append([float(v) for v in vals])
+        except ValueError as e:
+            raise ValueError(f"data row {k}: {e}") from None
+    return np.array(rows)
+
+
 def load_record_csv(text: str) -> dict:
-    """Parse a record CSV back into named numpy columns."""
+    """Parse a record CSV back into named numpy columns; ValueError if malformed."""
     lines = [ln for ln in text.strip().splitlines() if ln]
+    if len(lines) < 2:
+        raise ValueError("no data rows")
     header = lines[0].split(",")
-    data = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
+    data = _numeric_rows(lines[1:], len(header))
     return {name: data[:, j] for j, name in enumerate(header)}
 
 
@@ -273,6 +290,11 @@ def wavefunction_to_csv(wf) -> str:
 
 
 def load_wavefunction_csv(text: str):
-    rows = [ln.split(",") for ln in text.strip().splitlines()[1:]]
-    data = np.array([[float(v) for v in r] for r in rows])
+    """(x, psi) from wavefunction_to_csv's format; ValueError if malformed."""
+    lines = text.strip().splitlines()
+    if not lines or lines[0] != "x,re_psi,im_psi":
+        raise ValueError("header is not x,re_psi,im_psi")
+    if len(lines) < 3:
+        raise ValueError("fewer than two grid points")
+    data = _numeric_rows(lines[1:], 3)
     return data[:, 0], data[:, 1] + 1j * data[:, 2]

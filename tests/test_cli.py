@@ -3,6 +3,8 @@ and byte-identical re-execution from manifests."""
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -255,6 +257,49 @@ class TestCompare:
                    os.path.join(tmp_path, "absent2.csv")])
         assert rc == EXIT_IO
 
+    @pytest.mark.parametrize("target,text,reason", [
+        ("trajectory", "", "no data rows"),
+        ("oracle_file", "x,re_psi,im_psi\n0,1,0\n0.1,oops,0\n",
+         "data row 2: could not convert string to float: 'oops'"),
+    ])
+    def test_bad_input_file_usage_exit(self, tmp_path, capsys, target, text, reason):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        paths = {"trajectory": os.path.join(tmp_path, "record.csv"),
+                 "oracle_file": os.path.join(tmp_path, "psi.csv")}
+        good = {"trajectory": "time,lam_0_0\n0,0.5\n",
+                "oracle_file": "x,re_psi,im_psi\n0,1,0\n0.1,1,0\n"}
+        for name, path in paths.items():
+            with open(path, "w") as fh:
+                fh.write(text if name == target else good[name])
+        out = os.path.join(tmp_path, "cmp")
+        rc = main(["compare", "--config", cfg, "--out", out,
+                   paths["trajectory"], paths["oracle_file"]])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"input error: {paths[target]}: {reason}" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(out)
+
+    def test_reads_records_without_convergence_column(self, tmp_path):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        out = os.path.join(tmp_path, "cmp")
+        main(["simulate", "--config", cfg, "--out", out])
+        orc_cfg = write_config(tmp_path, {"oracle": {"grid_points": 48, "walkers": 200}},
+                               "orc.json")
+        main(["oracle", "--config", orc_cfg, "--out", out])
+        record = os.path.join(out, "record_000.csv")
+        rows = [ln.split(",") for ln in open(record).read().splitlines()]
+        assert rows[0][-2:] == ["jd_residual", "jd_converged"]
+        old = os.path.join(tmp_path, "old_record.csv")
+        with open(old, "w") as fh:
+            fh.write("".join(",".join(r[:-1]) + "\n" for r in rows))
+        verdicts = []
+        for traj, sub in ((record, "new"), (old, "old")):
+            assert main(["compare", "--config", cfg, "--out", os.path.join(tmp_path, sub),
+                         traj, os.path.join(out, "oracle_psi.csv")]) == EXIT_OK
+            verdicts.append(open(os.path.join(tmp_path, sub, "compare_verdict.json")).read())
+        assert verdicts[0] == verdicts[1]
+
 
 class TestCalibrate:
     def test_synthetic_suite(self, tmp_path):
@@ -267,3 +312,49 @@ class TestCalibrate:
         assert rep["ou_diffusion"]["rel_error"] < 0.05
         assert rep["irrotationality"]["gradient_field_residual"] < 5e-2
         assert rep["irrotationality"]["rotation_field_residual"] > 0.5
+
+
+# Every command but sweep must start without scipy: importing it costs most of
+# a short command's start-up.  Runs in a fresh interpreter, since this one has
+# already imported scipy.
+SCIPY_GUARD = """
+import json, sys
+from matrixqm.cli import main
+
+def scipy_modules():
+    return sorted(k for k in sys.modules if k.startswith("scipy"))
+
+loaded = {"import": scipy_modules()}
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    loaded[argv[0]] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_loaded_only_by_tracking(tmp_path):
+    out = str(tmp_path / "out")
+    sim = write_config(tmp_path, {**BASE_CONFIG, "integrator": {
+        **BASE_CONFIG["integrator"], "steps": 20}}, "sim.json")
+    orc = write_config(tmp_path, {"oracle": {"grid_points": 48, "walkers": 200}}, "orc.json")
+    swp = write_config(tmp_path, {"sweep": {
+        "N_list": [3], "replicas": 1, "burn_in_steps": 10, "steps": 50, "record_every": 5}},
+        "swp.json")
+    argvs = [
+        ["simulate", "--config", sim, "--out", out],
+        ["oracle", "--config", orc, "--out", out],
+        ["compare", "--config", sim, "--out", out,
+         os.path.join(out, "record_000.csv"), os.path.join(out, "oracle_psi.csv")],
+        ["calibrate", "--config", sim, "--out", out],
+        ["sweep", "--config", swp, "--out", out],
+    ]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k != "MATRIXQM_OUT"}
+    env["PYTHONPATH"] = src
+    proc = subprocess.run([sys.executable, "-c", SCIPY_GUARD, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    for step in ("import", "simulate", "oracle", "compare", "calibrate"):
+        assert loaded[step] == [], step
+    assert "scipy.optimize" in loaded["sweep"]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from matrixqm.core import (
     ORDERED,
@@ -14,6 +15,7 @@ from matrixqm.core import (
     com_momentum,
     eigenvalues,
     force,
+    force_raw,
     gauge_transform,
     joint_diagonalize,
     kinetic_energy,
@@ -228,6 +230,50 @@ class TestGauge:
         shifted = translate(cfg, np.array([2.5]))
         assert np.allclose(eigenvalues(shifted).lam[0], eigenvalues(cfg).lam[0] + 2.5,
                            atol=1e-12)
+
+
+# (N, d, kappa, seed) for the force's gauge covariance.
+FORCE_CASES = st.tuples(st.integers(2, 12), st.sampled_from([1, 2, 3]),
+                        st.sampled_from([0.0, 0.3]), st.integers(0, 2**32 - 1))
+
+# Stacks of square matrices with any finite entries, signed zeros and
+# subnormals included; |x| <= 1e300 keeps m + m^T finite.
+MATRIX_STACKS = st.tuples(st.integers(1, 3), st.integers(1, 8)).flatmap(
+    lambda dn: arrays(np.float64, (dn[0], dn[1], dn[1]),
+                      elements=st.floats(-1e300, 1e300, allow_subnormal=True)))
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestGaugeProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(FORCE_CASES)
+    def test_force_raw_covariant(self, case):
+        N, d, kappa, seed = case
+        p = ModelParams(d=d, N=N, kappa=kappa)
+        X = random_config(p, 0.8, seed).X
+        O = random_special_orthogonal(N, np.random.default_rng(seed))
+        f = force_raw(X, p)
+        rotated = force_raw(np.einsum("ij,ajk,lk->ail", O, X, O), p)
+        expected = np.einsum("ij,ajk,lk->ail", O, f, O)
+        assert np.max(np.abs(rotated - expected)) <= 1e-10 * np.max(np.abs(f))
+
+
+class TestSymmetrizeProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(MATRIX_STACKS)
+    def test_output_symmetric_and_idempotent(self, m):
+        s = symmetrize(m)
+        assert np.array_equal(bits(s), bits(np.swapaxes(s, -1, -2)))
+        assert np.array_equal(bits(symmetrize(s)), bits(s))
+
+    @settings(max_examples=200, deadline=None)
+    @given(MATRIX_STACKS)
+    def test_symmetric_input_unchanged(self, m):
+        sym = m + np.swapaxes(m, -1, -2)
+        assert np.array_equal(symmetrize(sym), sym)
 
 
 class TestJointDiagonalization:

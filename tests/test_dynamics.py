@@ -1,8 +1,12 @@
 """Integrator tests: reversibility, conservation, thermostat statistics,
 and the run/record plumbing."""
 
+import warnings
+
 import numpy as np
 import pytest
+
+from matrixqm import dynamics
 
 from matrixqm.core import (
     MatrixConfiguration,
@@ -232,3 +236,26 @@ class TestEquilibration:
         assert info["burn_in_steps"] <= 20000
         assert "converged" in info
         assert np.isfinite(potential_energy(out, p))
+
+    @pytest.mark.parametrize("record_every,message", [
+        (1, "last window T="), (50, "no T sample recorded")])
+    def test_equilibrate_stops_at_max_steps(self, monkeypatch, record_every, message):
+        calls = []
+        raw = dynamics._langevin_raw
+
+        def counting(*args):
+            calls.append(1)
+            return raw(*args)
+
+        monkeypatch.setattr(dynamics, "_langevin_raw", counting)
+        p = ModelParams(d=2, N=3)
+        integ = IntegratorConfig(mode="langevin", dt=0.02, gamma=0.5, temperature=0.2,
+                                 record_every=record_every)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeError, match=message) as exc:
+                equilibrate(random_config(p, spread=0.3, seed=9), p, integ, 10,
+                            tol=1e-9, max_steps=10)
+        assert len(calls) == 10
+        assert "after 10 steps" in str(exc.value)
+        assert "nan" not in str(exc.value)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from matrixqm.oracle import (
+    KDE_BLOCK_ROWS,
     MadelungPair,
     NelsonEnsemble,
     WaveFunction,
@@ -249,6 +250,15 @@ class TestComparisons:
         rng = np.random.default_rng(11)
         rho = walker_density(rng.normal(0, 1, 2000), x, 0.3)
         assert np.sum(rho) * (x[1] - x[0]) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [3 * KDE_BLOCK_ROWS + 5, KDE_BLOCK_ROWS // 2])
+    def test_walker_density_blocks_match_dense(self, n):
+        x = periodic_grid(n=n)
+        walkers = np.random.default_rng(12).normal(0, 1, 3001)
+        d2 = (x[:, None] - walkers[None, :]) ** 2
+        dense = np.exp(-0.5 * d2 / 0.3**2).sum(axis=1)
+        dense = dense / (dense.sum() * (x[1] - x[0]))
+        assert np.array_equal(walker_density(walkers, x, 0.3), dense)
 
 
 def test_timestep_warning_fires():

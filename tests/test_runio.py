@@ -184,10 +184,19 @@ class TestCsv:
 
     def test_frames_columns_present(self):
         rec = self.make_record(frames=True)
-        cols = load_record_csv(record_to_csv(rec))
-        assert "pos_0_0" in cols
-        assert "jd_residual" in cols
+        text = record_to_csv(rec)
+        assert text.splitlines()[0] == ",".join(
+            ["time", "K", "U", "p_0", "p_1"]
+            + [f"lam_{a}_{i}" for a in range(2) for i in range(3)]
+            + [f"pos_{i}_{a}" for i in range(3) for a in range(2)]
+            + ["jd_residual", "jd_converged"])
+        cols = load_record_csv(text)
         assert np.all(cols["jd_residual"] >= 0)
+        assert np.array_equal(cols["jd_converged"], [float(fr.converged) for fr in rec.frames])
+
+    def test_no_frame_columns_without_frames(self):
+        header = record_to_csv(self.make_record()).splitlines()[0].split(",")
+        assert header[-1] == "lam_1_2"
 
     def test_serialization_deterministic(self):
         a = record_to_csv(self.make_record())
