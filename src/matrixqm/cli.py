@@ -28,6 +28,7 @@ from .estimators import (
     scaled_temperature,
     scaling_sweep,
     silverman_bandwidth,
+    sweep_seeds,
 )
 from .oracle import (
     NelsonEnsemble,
@@ -91,23 +92,22 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(cfg, args)
     t0 = time.monotonic()
-    seeds = []
+    seeds = [
+        {"replica": r,
+         "init": replica_seed(cfg.ensemble.master_seed, r, "init"),
+         "dynamics": replica_seed(cfg.ensemble.master_seed, r, "dynamics")}
+        for r in range(cfg.ensemble.replicas)
+    ]
+    configs = [random_config(cfg.model, cfg.ensemble.spread, s["init"]) for s in seeds]
     try:
-        for r in range(cfg.ensemble.replicas):
-            s_init = replica_seed(cfg.ensemble.master_seed, r, "init")
-            s_dyn = replica_seed(cfg.ensemble.master_seed, r, "dynamics")
-            seeds.append({"replica": r, "init": s_init, "dynamics": s_dyn})
-            config = random_config(cfg.model, cfg.ensemble.spread, s_init)
-            record = run(config, cfg.model, cfg.integrator, s_dyn)
-            atomic_write_text(os.path.join(out, f"record_{r:03d}.csv"), record_to_csv(record))
+        records = run(configs, cfg.model, cfg.integrator, [s["dynamics"] for s in seeds])
     except NumericsError as e:
         print(f"numeric abort: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except OSError as e:
-        print(f"i/o error: {e}", file=sys.stderr)
-        return EXIT_IO
     manifest = build_manifest(cfg, seeds, time.monotonic() - t0)
     try:
+        for r, record in enumerate(records):
+            atomic_write_text(os.path.join(out, f"record_{r:03d}.csv"), record_to_csv(record))
         atomic_write_text(os.path.join(out, "manifest.json"),
                           json.dumps(manifest, indent=2, sort_keys=True))
     except OSError as e:
@@ -134,8 +134,9 @@ def cmd_sweep(args) -> int:
             os.path.join(out, "sweep.csv"),
             sweep_to_csv(points, cfg.model.pair_sum, cfg.oracle.nu_convention),
         )
-        manifest = build_manifest(cfg, [{"master_seed": cfg.ensemble.master_seed}],
-                                  time.monotonic() - t0)
+        seeds = [{"N": N, "replica": r, **sweep_seeds(cfg.ensemble.master_seed, N, r)}
+                 for N in cfg.sweep.N_list for r in range(cfg.sweep.replicas)]
+        manifest = build_manifest(cfg, seeds, time.monotonic() - t0)
         atomic_write_text(os.path.join(out, "sweep_manifest.json"),
                           json.dumps(manifest, indent=2, sort_keys=True))
     except OSError as e:

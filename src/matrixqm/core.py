@@ -19,6 +19,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -70,14 +71,23 @@ class ModelParams:
         return self.d * self.N * (self.N + 1) // 2
 
 
+@lru_cache(maxsize=32)
+def _upper_mask(N: int) -> np.ndarray:
+    """Read-only N x N mask of the upper triangle, diagonal included."""
+    mask = np.triu(np.ones((N, N), dtype=bool))
+    mask.flags.writeable = False
+    return mask
+
+
 def symmetrize(m: np.ndarray) -> np.ndarray:
     """Make the lower triangle a bitwise mirror of the upper one.
 
     Unlike (m + m.T)/2 this introduces no roundoff, so symmetry of the
     result is exact whenever the input is already symmetric to roundoff.
+    The + 0.0 turns -0.0 into 0.0 on every entry, as adding the two
+    zero-filled triangles did.
     """
-    upper = np.triu(m)
-    return upper + np.swapaxes(np.triu(m, 1), -1, -2)
+    return np.where(_upper_mask(m.shape[-1]), m, np.swapaxes(m, -1, -2)) + 0.0
 
 
 @dataclass
@@ -129,6 +139,7 @@ class ParticleFrame:
     residual: float
     frame: np.ndarray
     converged: bool = True
+    sweeps: int = 0  # Jacobi sweeps run, at most max_sweeps
 
 
 def _check_shapes(config: MatrixConfiguration, params: ModelParams):
@@ -172,22 +183,43 @@ def total_energy(config: MatrixConfiguration, params: ModelParams) -> float:
     return kinetic_energy(config, params) + potential_energy(config, params)
 
 
-def force_raw(X: np.ndarray, params: ModelParams) -> np.ndarray:
-    """force() on a bare (d, N, N) array; exact-symmetrized via the triu trick."""
+@lru_cache(maxsize=8)
+def _direction_pairs(d: int) -> tuple:
+    """The direction pairs a < b in loop order, as index arrays (ia, ib)."""
+    return np.triu_indices(d, 1)
+
+
+def _stacked_force(X: np.ndarray, params: ModelParams) -> np.ndarray:
+    """force_raw() on any stack of configurations, shape (..., d, N, N).
+
+    The six products of every direction pair are batched matmuls over the
+    pairs (and the leading axes), and the pair terms are accumulated in the
+    order of a plain a < b loop, so each configuration's force is bitwise
+    the same whatever stack it is part of.
+    """
     eps = params.epsilon
     coeff = 2.0 * eps if params.pair_sum == UNORDERED else 4.0 * eps
     f = np.zeros_like(X)
-    for a in range(params.d):
-        xa = X[a]
-        for b in range(a + 1, params.d):
-            xb = X[b]
-            c = xa @ xb - xb @ xa
-            f[a] += xb @ c - c @ xb
-            f[b] -= xa @ c - c @ xa
+    ia, ib = _direction_pairs(params.d)
+    xa = X[..., ia, :, :]
+    xb = X[..., ib, :, :]
+    c = xa @ xb - xb @ xa
+    fa = xb @ c - c @ xb
+    fb = xa @ c - c @ xa
+    for k, (a, b) in enumerate(zip(ia, ib)):
+        f[..., a, :, :] += fa[..., k, :, :]
+        f[..., b, :, :] -= fb[..., k, :, :]
     f *= coeff
     if params.kappa > 0:
         f -= 2.0 * params.kappa * eps * X
     return symmetrize(f)
+
+
+def force_raw(X: np.ndarray, params: ModelParams) -> np.ndarray:
+    """force() on one bare (d, N, N) array, exactly symmetric."""
+    if X.ndim != 3:
+        raise ShapeError(f"X must have shape (d, N, N), got {X.shape}")
+    return _stacked_force(X, params)
 
 
 def force(config: MatrixConfiguration, params: ModelParams) -> np.ndarray:
@@ -206,6 +238,32 @@ def eigenvalues(config: MatrixConfiguration) -> Spectrum:
     """Eigenvalues of each X_a, sorted ascending per direction."""
     lam = np.stack([np.linalg.eigvalsh(config.X[a]) for a in range(config.d)])
     return Spectrum(lam=lam)
+
+
+@lru_cache(maxsize=32)
+def _jacobi_rounds(N: int) -> tuple:
+    """Round-robin tournament schedule over N indices, as flat N x N offsets.
+
+    Each round pairs up all indices into disjoint (p, q) couples.  Disjoint
+    pairs do not feed each other's Givens angles (the angle for (p, q) uses
+    only the pp, qq, pq entries), so the rotations of one round can be
+    computed from a common snapshot and applied together as one dense
+    orthogonal matrix G.  A round is (gather, put): the (3, k) offsets of the
+    pp, qq and pq entries, and the offsets of G's pp, qq, pq and qp entries.
+    """
+    slots = list(range(N)) + ([N] if N % 2 else [])  # N marks a bye
+    M = len(slots)
+    rounds = []
+    for _ in range(M - 1):
+        pairs = [(slots[i], slots[M - 1 - i]) for i in range(M // 2)]
+        pairs = [(min(p, q), max(p, q)) for p, q in pairs if N not in (p, q)]
+        p, q = np.array([p for p, _ in pairs]), np.array([q for _, q in pairs])
+        pp, qq, pq, qp = p * N + p, q * N + q, p * N + q, q * N + p
+        gather, put = np.stack([pp, qq, pq]), np.concatenate([pp, qq, pq, qp])
+        gather.flags.writeable = put.flags.writeable = False
+        rounds.append((gather, put))
+        slots = [slots[0]] + [slots[-1]] + slots[1:-1]
+    return tuple(rounds)
 
 
 def joint_diagonalize(
@@ -241,35 +299,22 @@ def joint_diagonalize(
         off = B - np.stack([np.diag(np.diag(B[a])) for a in range(d)])
         return float(np.sum(off * off))
 
-    # Round-robin tournament schedule: each round pairs up all indices into
-    # disjoint (p, q) couples.  Disjoint pairs do not feed each other's Givens
-    # angles (the angle for (p, q) uses only the pp, qq, pq entries), so the
-    # rotations of one round can be computed from a common snapshot and applied
-    # together as one dense orthogonal matrix G.  Each round also keeps the
-    # (rows, cols) of G's (p,p), (q,q), (p,q), (q,p) entries.
-    slots = list(range(N)) + ([N] if N % 2 else [])  # N marks a bye
-    M = len(slots)
-    rounds = []
-    for _ in range(M - 1):
-        pairs = [(slots[i], slots[M - 1 - i]) for i in range(M // 2)]
-        pairs = [(min(p, q), max(p, q)) for p, q in pairs if N not in (p, q)]
-        p, q = np.array([p for p, _ in pairs]), np.array([q for _, q in pairs])
-        rounds.append((p, q, (np.concatenate([p, q, p, q]), np.concatenate([p, q, q, p]))))
-        slots = [slots[0]] + [slots[-1]] + slots[1:-1]
-
+    eye = np.eye(N)
     converged = False
+    sweeps = 0
     prev_off2 = _off2(A)
-    for _ in range(max_sweeps):
+    for sweeps in range(1, max_sweeps + 1):
         largest = 0.0
-        for p, q, at in rounds:
+        for gather, put in _jacobi_rounds(N):
             # Optimal Givens angles for real symmetric matrices
             # (Cardoso-Souloumiac joint-diagonalization criterion).
-            ton = A[:, p, p] - A[:, q, q]  # (d, k)
-            toff = 2.0 * A[:, p, q]
-            g11 = np.sum(ton * ton, axis=0)
-            g12 = np.sum(ton * toff, axis=0)
-            g22 = np.sum(toff * toff, axis=0)
-            theta = 0.5 * np.arctan2(2.0 * g12, g11 - g22 + np.hypot(g11 - g22, 2.0 * g12))
+            t = A.reshape(d, N * N).take(gather, axis=1)  # (d, 3, k): pp, qq, pq
+            ton = t[:, 0] - t[:, 1]
+            toff = 2.0 * t[:, 2]
+            g11, g12, g22 = np.add.reduce(
+                np.stack((ton * ton, ton * toff, toff * toff), axis=1), axis=0)
+            diff, two12 = g11 - g22, 2.0 * g12
+            theta = 0.5 * np.arctan2(two12, diff + np.hypot(diff, two12))
             c = np.cos(theta)
             s = np.sin(theta)
             skip = np.abs(s) <= sin_tol
@@ -279,8 +324,8 @@ def joint_diagonalize(
             s = np.where(skip, 0.0, s)
             largest = max(largest, float(np.max(np.abs(s))))
             # A <- G A G^T and O <- G O; G is the identity off the paired indices
-            G = np.eye(N)
-            G[at] = np.concatenate([c, c, s, -s])
+            G = eye.copy()
+            G.ravel()[put] = np.concatenate([c, c, s, -s])
             A = G @ A @ G.T
             O = G @ O
         if largest <= sin_tol:
@@ -304,7 +349,8 @@ def joint_diagonalize(
     O = O[order, :]
     if np.linalg.det(O) < 0:
         O[0, :] = -O[0, :]  # eigenvector sign flip, positions unaffected
-    return ParticleFrame(positions=positions, residual=residual, frame=O, converged=converged)
+    return ParticleFrame(positions=positions, residual=residual, frame=O,
+                         converged=converged, sweeps=sweeps)
 
 
 def gauge_transform(config: MatrixConfiguration, O: np.ndarray) -> MatrixConfiguration:

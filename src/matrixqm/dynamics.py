@@ -20,10 +20,10 @@ from .core import (
     ModelParams,
     ParticleFrame,
     Spectrum,
+    _stacked_force,
     com_momentum,
     eigenvalues,
     force,
-    force_raw,
     joint_diagonalize,
     kinetic_energy,
     potential_energy,
@@ -38,11 +38,13 @@ NOISE_OFFDIAG = "offdiagonal"
 
 
 class NumericsError(RuntimeError):
-    """NaN/Inf encountered during integration; carries the step index."""
+    """NaN/Inf encountered during integration; carries the step and replica index."""
 
-    def __init__(self, step: int, message: str):
-        super().__init__(f"step {step}: {message}")
+    def __init__(self, step: int, message: str, replica: int | None = None):
+        where = f"step {step}" if replica is None else f"replica {replica}, step {step}"
+        super().__init__(f"{where}: {message}")
         self.step = step
+        self.replica = replica
 
 
 @dataclass
@@ -96,12 +98,17 @@ class TrajectoryRecord:
             raise ValueError("times must be strictly increasing")
 
 
+# The stepping kernels act on stacks of configurations: X, V and f have shape
+# (..., d, N, N), and each configuration in the stack evolves exactly as it
+# would alone.
+
+
 def _leapfrog_raw(X, V, f, params, dt):
     """Velocity-Verlet on bare arrays; X/V stay exactly symmetric because f is."""
     inv2mu = 1.0 / (2.0 * params.mu)
     V = V + (0.5 * dt * inv2mu) * f
     X = X + dt * V
-    f_new = force_raw(X, params)
+    f_new = _stacked_force(X, params)
     V = V + (0.5 * dt * inv2mu) * f_new
     return X, V, f_new
 
@@ -118,41 +125,71 @@ def step_leapfrog(
     return MatrixConfiguration(X=X, V=V, time=config.time + dt)
 
 
-def _thermal_noise(params: ModelParams, T: float, rng, integ: IntegratorConfig) -> np.ndarray:
-    """Symmetric noise matrices with per-entry variance T/m_e (m diag=2mu, offdiag=4mu)."""
-    d, N, mu = params.d, params.N, params.mu
-    iu = np.triu_indices(N, 1)
-    noise = np.zeros((d, N, N))
-    off = rng.normal(0.0, np.sqrt(T / (4.0 * mu)), size=(d, len(iu[0])))
-    noise[:, iu[0], iu[1]] = off
-    noise[:, iu[1], iu[0]] = off
-    if integ.noise_mode == NOISE_ALL:
-        di = np.arange(N)
-        noise[:, di, di] = rng.normal(0.0, np.sqrt(T / (2.0 * mu)), size=(d, N))
-    if integ.project_trace_noise:
-        tr = np.trace(noise, axis1=1, axis2=2) / N
-        noise -= tr[:, None, None] * np.eye(N)
+class _OStep:
+    """Constants of the BAOAB O-step, built once per run rather than per step.
+
+    The thermal noise has per-entry variance T/m_e (m_e = 2mu on the
+    diagonal, 4mu per independent off-diagonal entry).  Each direction's
+    draws are packed as [0, off-diagonal (n_off), diagonal (N)], and
+    unpack[k] is the packed slot of flat entry k of the N x N noise matrix:
+    both triangles read the same off-diagonal draw, and the diagonal reads
+    slot 0 when noise_mode is offdiagonal.
+    """
+
+    def __init__(self, params: ModelParams, dt: float, gamma: float, T: float,
+                 integ: IntegratorConfig):
+        N, mu = params.N, params.mu
+        all_noise = integ.noise_mode == NOISE_ALL
+        self.c1 = np.exp(-gamma * dt)
+        self.c2 = np.sqrt(1.0 - self.c1 * self.c1)
+        self.sd_off = np.sqrt(T / (4.0 * mu))
+        self.sd_diag = np.sqrt(T / (2.0 * mu)) if all_noise else None
+        iu = np.triu_indices(N, 1)
+        n_off = len(iu[0])
+        unpack = np.zeros((N, N), dtype=np.intp)
+        unpack[iu] = unpack.T[iu] = np.arange(1, n_off + 1)
+        if all_noise:
+            unpack[np.diag_indices(N)] = np.arange(n_off + 1, n_off + 1 + N)
+        self.unpack = unpack.ravel()
+        self.eye = np.eye(N) if integ.project_trace_noise else None
+        # noise_mode offdiagonal refreshes (and damps) only off-diagonal entries.
+        self.offdiag_mask = None if all_noise else 1.0 - np.eye(N)
+        self.keep = None if all_noise else 1.0 - (1.0 - self.c1) * self.offdiag_mask
+
+
+def _thermal_noise(o: _OStep, rngs, shape) -> np.ndarray:
+    """Symmetric noise matrices of the given stack shape, one generator per
+    configuration: each draws its (d, n_off) off-diagonal entries, then its
+    (d, N) diagonal ones."""
+    d, N = shape[-3], shape[-1]
+    n_off = N * (N - 1) // 2
+    packed = np.zeros((len(rngs), d, 1 + n_off + N))
+    for rng, draws in zip(rngs, packed):
+        draws[:, 1:n_off + 1] = rng.normal(0.0, o.sd_off, size=(d, n_off))
+        if o.sd_diag is not None:
+            draws[:, n_off + 1:] = rng.normal(0.0, o.sd_diag, size=(d, N))
+    noise = packed.take(o.unpack, axis=-1).reshape(shape)
+    if o.eye is not None:
+        tr = np.trace(noise, axis1=-2, axis2=-1) / N
+        noise -= tr[..., None, None] * o.eye
     return noise
 
 
-def _langevin_raw(X, V, f, params, dt, gamma, T, rng, integ):
-    """One BAOAB step on bare arrays."""
+def _langevin_raw(X, V, f, params, dt, o, rngs):
+    """One BAOAB step on bare arrays; rngs holds one generator per configuration."""
     inv2mu = 1.0 / (2.0 * params.mu)
     V = V + (0.5 * dt * inv2mu) * f
     X = X + (0.5 * dt) * V
 
-    c1 = np.exp(-gamma * dt)
-    c2 = np.sqrt(1.0 - c1 * c1)
-    noise = _thermal_noise(params, T, rng, integ)
-    if integ.noise_mode == NOISE_OFFDIAG:
+    noise = _thermal_noise(o, rngs, X.shape)
+    if o.offdiag_mask is not None:
         # OU refresh only on off-diagonal entries; diagonal keeps its velocity.
-        mask = 1.0 - np.eye(params.N)
-        V = V * (1.0 - (1.0 - c1) * mask) + c2 * noise * mask
+        V = V * o.keep + o.c2 * noise * o.offdiag_mask
     else:
-        V = c1 * V + c2 * noise
+        V = o.c1 * V + o.c2 * noise
 
     X = X + (0.5 * dt) * V
-    f_new = force_raw(X, params)
+    f_new = _stacked_force(X, params)
     V = V + (0.5 * dt * inv2mu) * f_new
     return X, V, f_new
 
@@ -175,59 +212,73 @@ def step_langevin(
     """
     if integ is None:
         integ = IntegratorConfig(mode=LANGEVIN, dt=dt, steps=1, gamma=gamma, temperature=T)
-    X, V, _ = _langevin_raw(
-        config.X, config.V, force(config, params), params, dt, gamma, T, rng, integ
-    )
+    X, V, _ = _langevin_raw(config.X, config.V, force(config, params), params, dt,
+                            _OStep(params, dt, gamma, T, integ), [rng])
     return MatrixConfiguration(X=X, V=V, time=config.time + dt)
 
 
+class _Recorder:
+    """One replica's observables, appended at every recorded step."""
+
+    def __init__(self, with_frames: bool):
+        self.times, self.spectra, self.energies, self.momenta = [], [], [], []
+        self.frames = [] if with_frames else None
+
+    def add(self, cfg: MatrixConfiguration, params: ModelParams):
+        self.times.append(cfg.time)
+        self.spectra.append(eigenvalues(cfg))
+        self.energies.append((kinetic_energy(cfg, params), potential_energy(cfg, params)))
+        self.momenta.append(com_momentum(cfg, params))
+        if self.frames is not None:
+            # Warm start from this replica's previous frame.
+            prev = self.frames[-1].frame if self.frames else None
+            self.frames.append(joint_diagonalize(cfg, initial_frame=prev))
+
+
 def run(
-    config: MatrixConfiguration,
+    configs: list,
     params: ModelParams,
     integ: IntegratorConfig,
-    seed: int = 0,
-) -> TrajectoryRecord:
-    """Evolve and record observables every record_every steps (incl. initial state).
+    seeds: list | None = None,
+) -> list:
+    """Evolve replicas together and record observables every record_every steps
+    (incl. the initial state); returns one TrajectoryRecord per replica.
 
-    seed feeds the Langevin noise; microcanonical runs draw no random numbers.
+    configs[r] draws its Langevin noise from default_rng(seeds[r]) (all 0 when
+    seeds is None); microcanonical runs draw no random numbers.  The replicas
+    are stepped as one (R, d, N, N) stack, and every replica's record is
+    bitwise the one it gets when run alone.
     """
-    rng = np.random.default_rng(seed)
-    cfg = config.copy()
+    seeds = [0] * len(configs) if seeds is None else list(seeds)
+    if len(seeds) != len(configs):
+        raise ValueError(f"{len(configs)} configs but {len(seeds)} seeds")
+    if not configs:
+        return []
+    cfgs = [c.copy() for c in configs]
+    recorders = [_Recorder(integ.record_frames) for _ in cfgs]
+    for rec, cfg in zip(recorders, cfgs):
+        rec.add(cfg, params)
 
-    times = [cfg.time]
-    spectra = [eigenvalues(cfg)]
-    energies = [(kinetic_energy(cfg, params), potential_energy(cfg, params))]
-    momenta = [com_momentum(cfg, params)]
-    frames = [] if integ.record_frames else None
-    prev_frame = None
-    if integ.record_frames:
-        prev_frame = joint_diagonalize(cfg)
-        frames.append(prev_frame)
-
-    X, V = cfg.X, cfg.V
-    t0 = cfg.time
-    f = force_raw(X, params)
+    X = np.stack([c.X for c in cfgs])
+    V = np.stack([c.V for c in cfgs])
+    t0 = [c.time for c in cfgs]
+    f = _stacked_force(X, params)
+    if integ.mode == LANGEVIN:
+        rngs = [np.random.default_rng(s) for s in seeds]
+        o = _OStep(params, integ.dt, integ.gamma, integ.temperature, integ)
     for step in range(1, integ.steps + 1):
         if integ.mode == MICROCANONICAL:
             X, V, f = _leapfrog_raw(X, V, f, params, integ.dt)
         else:
-            X, V, f = _langevin_raw(
-                X, V, f, params, integ.dt, integ.gamma, integ.temperature, rng, integ
-            )
+            X, V, f = _langevin_raw(X, V, f, params, integ.dt, o, rngs)
         if not np.isfinite(f).all():
-            cfg = MatrixConfiguration(X=X, V=V, time=t0 + step * integ.dt)
-            k = float(np.nansum(V * V)) * params.mu
-            raise NumericsError(step, f"non-finite matrix entry (K~{k:.3g}); reduce dt")
+            r = int(np.argmin(np.isfinite(f).reshape(len(cfgs), -1).all(axis=1)))
+            k = float(np.nansum(V[r] * V[r])) * params.mu
+            raise NumericsError(step, f"non-finite matrix entry (K~{k:.3g}); reduce dt", r)
         if step % integ.record_every == 0:
-            cfg = MatrixConfiguration(X=X, V=V, time=t0 + step * integ.dt)
-            times.append(cfg.time)
-            spectra.append(eigenvalues(cfg))
-            energies.append((kinetic_energy(cfg, params), potential_energy(cfg, params)))
-            momenta.append(com_momentum(cfg, params))
-            if integ.record_frames:
-                prev_frame = joint_diagonalize(cfg, initial_frame=prev_frame.frame)
-                frames.append(prev_frame)
-    cfg = MatrixConfiguration(X=X, V=V, time=t0 + integ.steps * integ.dt)
+            for r, rec in enumerate(recorders):
+                rec.add(MatrixConfiguration(X=X[r], V=V[r], time=t0[r] + step * integ.dt),
+                        params)
 
     manifest = {
         "mode": integ.mode,
@@ -235,7 +286,7 @@ def run(
         "steps": integ.steps,
         "gamma": integ.gamma,
         "temperature": integ.temperature,
-        "seed": seed,
+        "seed": None,
         "record_every": integ.record_every,
         "noise_mode": integ.noise_mode,
         "project_trace_noise": integ.project_trace_noise,
@@ -249,15 +300,18 @@ def run(
             "kappa": params.kappa,
         },
     }
-    return TrajectoryRecord(
-        times=np.array(times),
-        spectra=spectra,
-        energies=np.array(energies),
-        com_momenta=np.array(momenta),
-        frames=frames,
-        manifest=manifest,
-        final_config=cfg,
-    )
+    return [
+        TrajectoryRecord(
+            times=np.array(rec.times),
+            spectra=rec.spectra,
+            energies=np.array(rec.energies),
+            com_momenta=np.array(rec.momenta),
+            frames=rec.frames,
+            manifest=dict(manifest, seed=seeds[r]),
+            final_config=MatrixConfiguration(X=X[r], V=V[r], time=t0[r] + integ.steps * integ.dt),
+        )
+        for r, rec in enumerate(recorders)
+    ]
 
 
 def integrated_autocorrelation_time(x: np.ndarray, max_lag: int | None = None) -> float:
@@ -329,7 +383,8 @@ def equilibrate(
     if tol == np.inf:
         return config.copy(), {"burn_in_steps": 0, "converged": True, "T_est": None}
 
-    rng = np.random.default_rng(seed)
+    rngs = [np.random.default_rng(seed)]
+    o = _OStep(params, integ.dt, integ.gamma, integ.temperature, integ)
     cfg = config.copy()
     record_every = max(1, integ.record_every)
     T_hist: list[float] = []
@@ -337,12 +392,10 @@ def equilibrate(
     steps_done = 0
     X, V = cfg.X, cfg.V
     t0 = cfg.time
-    f = force_raw(X, params)
+    f = _stacked_force(X, params)
     while steps_done < max_steps:
         for _ in range(min(chunk_steps, max_steps - steps_done)):
-            X, V, f = _langevin_raw(
-                X, V, f, params, integ.dt, integ.gamma, integ.temperature, rng, integ
-            )
+            X, V, f = _langevin_raw(X, V, f, params, integ.dt, o, rngs)
             steps_done += 1
             if steps_done % record_every == 0:
                 cfg = MatrixConfiguration(X=X, V=V, time=t0 + steps_done * integ.dt)

@@ -24,8 +24,9 @@ class EigenTrajectory:
     """Identity-matched particle positions over time for one replica.
 
     positions has shape (T, N, d); residuals is the per-frame joint
-    diagonalization off-diagonal norm and converged its per-frame convergence
-    flag (zeros and all True for synthetic data).
+    diagonalization off-diagonal norm, converged its per-frame convergence
+    flag and sweeps its per-frame Jacobi sweep count (zeros, all True and
+    zeros for synthetic data).
     """
 
     times: np.ndarray
@@ -33,6 +34,7 @@ class EigenTrajectory:
     residuals: np.ndarray | None = None
     replica_id: int = 0
     converged: np.ndarray | None = None
+    sweeps: np.ndarray | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -45,6 +47,8 @@ class EigenTrajectory:
             self.residuals = np.zeros(len(self.times))
         if self.converged is None:
             self.converged = np.ones(len(self.times), dtype=bool)
+        if self.sweeps is None:
+            self.sweeps = np.zeros(len(self.times), dtype=int)
 
 
 @dataclass(frozen=True)
@@ -122,6 +126,7 @@ class ScalingPoint:
     irrot_residual: float = 0.0
     mean_frame_residual: float = 0.0
     nonconverged_frames: int = 0  # Jacobi frames that hit max_sweeps, over all replicas
+    mean_frame_sweeps: float = 0.0  # Jacobi sweeps per frame
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +160,7 @@ def track_particles(frames: list, times) -> EigenTrajectory:
         positions=np.stack(out),
         residuals=np.array([fr.residual for fr in frames]),
         converged=np.array([fr.converged for fr in frames]),
+        sweeps=np.array([fr.sweeps for fr in frames]),
     )
 
 
@@ -551,6 +557,13 @@ class SweepSettings:
             raise ValueError("spread: must be >= 0")
 
 
+def sweep_seeds(master_seed: int, N: int, replica: int) -> dict:
+    """Seeds of one replica at one sweep point: its initial configuration, its
+    burn-in noise and its measurement-run noise."""
+    state = np.random.SeedSequence([master_seed, int(N), replica]).generate_state(3)
+    return dict(zip(("init", "burn", "run"), (int(x) for x in state)))
+
+
 def scaling_sweep(
     base_params: ModelParams,
     settings: SweepSettings,
@@ -575,33 +588,32 @@ def scaling_sweep(
     for N in s.N_list:
         params = dataclasses.replace(base_params, N=int(N))
         T = temperature_for_scaled(params, s.t_scaled, N)
+        seeds = [sweep_seeds(master_seed, N, r) for r in range(s.replicas)]
+        configs = [random_config(params, s.spread, seed["init"]) for seed in seeds]
+        burn = IntegratorConfig(
+            mode=LANGEVIN,
+            dt=s.dt,
+            steps=s.burn_in_steps,
+            gamma=s.gamma * params.omega,
+            temperature=T,
+            record_every=max(1, s.burn_in_steps),
+            project_trace_noise=True,
+        )
+        burnt = run(configs, params, burn, [seed["burn"] for seed in seeds])
+        measure = IntegratorConfig(
+            mode=LANGEVIN,
+            dt=s.dt,
+            steps=s.steps,
+            gamma=s.gamma * params.omega,
+            temperature=T,
+            record_every=s.record_every,
+            record_frames=True,
+            project_trace_noise=True,
+        )
         trajectories = []
-        for r in range(s.replicas):
-            seed_cfg, seed_burn, seed_run = (
-                int(x) for x in np.random.SeedSequence([master_seed, int(N), r]).generate_state(3)
-            )
-            cfg = random_config(params, s.spread, seed_cfg)
-            burn = IntegratorConfig(
-                mode=LANGEVIN,
-                dt=s.dt,
-                steps=s.burn_in_steps,
-                gamma=s.gamma * params.omega,
-                temperature=T,
-                record_every=max(1, s.burn_in_steps),
-                project_trace_noise=True,
-            )
-            cfg = run(cfg, params, burn, seed_burn).final_config
-            measure = IntegratorConfig(
-                mode=LANGEVIN,
-                dt=s.dt,
-                steps=s.steps,
-                gamma=s.gamma * params.omega,
-                temperature=T,
-                record_every=s.record_every,
-                record_frames=True,
-                project_trace_noise=True,
-            )
-            rec = run(cfg, params, measure, seed_run)
+        records = run([rec.final_config for rec in burnt], params, measure,
+                      [seed["run"] for seed in seeds])
+        for r, rec in enumerate(records):
             traj = track_particles(rec.frames, rec.times)
             traj.replica_id = r
             # Remove the per-frame collective (trace-mode) motion.
@@ -637,5 +649,6 @@ def scaling_sweep(
             irrot_residual=irrot,
             mean_frame_residual=float(np.mean([np.mean(tr.residuals) for tr in trajectories])),
             nonconverged_frames=int(sum(np.sum(~tr.converged) for tr in trajectories)),
+            mean_frame_sweeps=float(np.mean([np.mean(tr.sweeps) for tr in trajectories])),
         ))
     return points

@@ -265,8 +265,8 @@ def load_record_csv(text: str) -> dict:
 
 SWEEP_COLUMNS = [
     "N", "T", "t_scaled", "nu_hat", "nu_stderr", "nu_pred", "hbar_emergent",
-    "irrot_residual", "mean_frame_residual", "nonconverged_frames", "pair_sum",
-    "nu_convention",
+    "irrot_residual", "mean_frame_residual", "nonconverged_frames", "mean_frame_sweeps",
+    "pair_sum", "nu_convention",
 ]
 
 
@@ -276,7 +276,8 @@ def sweep_to_csv(points, pair_sum: str, nu_convention: str) -> str:
         row = [
             str(p.N), _fmt(p.T), _fmt(p.t_scaled), _fmt(p.nu_hat), _fmt(p.nu_stderr),
             _fmt(p.nu_pred), _fmt(p.hbar_emergent), _fmt(p.irrot_residual),
-            _fmt(p.mean_frame_residual), str(p.nonconverged_frames), pair_sum, nu_convention,
+            _fmt(p.mean_frame_residual), str(p.nonconverged_frames), _fmt(p.mean_frame_sweeps),
+            pair_sum, nu_convention,
         ]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

@@ -96,8 +96,8 @@ def test_criterion_02_conservation():
     e0 = total_energy(cfg0, p)
 
     def drift(dt, steps):
-        rec = run(cfg0, p, IntegratorConfig(mode="microcanonical", dt=dt,
-                                            steps=steps, record_every=steps))
+        rec = run([cfg0], p, IntegratorConfig(mode="microcanonical", dt=dt,
+                                              steps=steps, record_every=steps))[0]
         d_e = abs(rec.energies[-1].sum() - e0) / abs(e0)
         d_p = np.max(np.abs(rec.com_momenta[-1] - rec.com_momenta[0]))
         return d_e, d_p
@@ -162,7 +162,7 @@ def test_criterion_04_thermostat_validity():
     cfg = random_config(p8, spread=0.3, seed=3)
     integ = IntegratorConfig(mode="langevin", dt=0.02, steps=20000, gamma=0.5,
                              temperature=0.3, record_every=5)
-    rec = run(cfg, p8, integ, 4)
+    rec = run([cfg], p8, integ, [4])[0]
     rec = dataclasses.replace(rec, times=rec.times[800:],
                               spectra=rec.spectra[800:],
                               energies=rec.energies[800:],

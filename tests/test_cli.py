@@ -3,6 +3,7 @@ and byte-identical re-execution from manifests."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -72,6 +73,17 @@ class TestSimulate:
         records = [n for n in os.listdir(out) if n.startswith("record_")]
         assert len(records) == 3
 
+    def test_replica_records_independent_of_ensemble_size(self, tmp_path):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        out2 = os.path.join(tmp_path, "r2")
+        out3 = os.path.join(tmp_path, "r3")
+        assert main(["simulate", "--config", cfg, "--out", out2, "--replicas", "2"]) == EXIT_OK
+        assert main(["simulate", "--config", cfg, "--out", out3, "--replicas", "3"]) == EXIT_OK
+        for name in ("record_000.csv", "record_001.csv"):
+            a = open(os.path.join(out2, name), "rb").read()
+            b = open(os.path.join(out3, name), "rb").read()
+            assert a == b
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, BASE_CONFIG)
         envdir = os.path.join(tmp_path, "envout")
@@ -87,7 +99,7 @@ class TestSimulate:
         cfg = write_config(tmp_path, {"model": {"N": 1}})
         assert main(["simulate", "--config", cfg]) == EXIT_USAGE
 
-    def test_numeric_blowup_exit(self, tmp_path):
+    def test_numeric_blowup_exit(self, tmp_path, capsys):
         doc = json.loads(json.dumps(BASE_CONFIG))
         doc["integrator"] = {"mode": "microcanonical", "dt": 10.0,
                              "steps": 5000}
@@ -96,6 +108,23 @@ class TestSimulate:
         out = os.path.join(tmp_path, "blow")
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["simulate", "--config", cfg, "--out", out]) == EXIT_NUMERIC
+        assert re.search(r"numeric abort: replica \d+, step \d+: ", capsys.readouterr().err)
+        assert not os.path.exists(out) or not any(
+            n.startswith("record_") for n in os.listdir(out))
+
+    def test_numeric_abort_writes_no_record(self, tmp_path, capsys):
+        # At master seed 0 replica 0 survives these 200 steps and replica 1
+        # does not: the abort must not leave replica 0's record behind.
+        doc = {"model": {"d": 2, "N": 4},
+               "integrator": {"mode": "microcanonical", "dt": 0.2, "steps": 200,
+                              "record_every": 4},
+               "ensemble": {"replicas": 2, "master_seed": 0, "spread": 1.0}}
+        cfg = write_config(tmp_path, doc)
+        out = os.path.join(tmp_path, "blow")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["simulate", "--config", cfg, "--out", out]) == EXIT_NUMERIC
+        assert "numeric abort: replica 1, step " in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_usage_error_on_unknown_command(self):
         assert main(["frobnicate"]) == EXIT_USAGE
@@ -211,6 +240,28 @@ class TestSweep:
         assert vals[0] == "4"
         assert np.isfinite(float(vals[3]))
         assert os.path.exists(os.path.join(out, "sweep_manifest.json"))
+
+    def test_manifest_reexecution_byte_identical(self, tmp_path):
+        doc = {
+            "model": {"d": 2, "N": 4},
+            "sweep": {"t_scaled": 0.1, "N_list": [3, 4], "replicas": 2,
+                      "burn_in_steps": 20, "steps": 50, "dt": 0.02,
+                      "gamma": 0.5, "record_every": 5, "spread": 0.3},
+            "ensemble": {"master_seed": 12},
+        }
+        cfg = write_config(tmp_path, doc)
+        out1 = os.path.join(tmp_path, "s1")
+        out2 = os.path.join(tmp_path, "s2")
+        assert main(["sweep", "--config", cfg, "--out", out1]) == EXIT_OK
+        manifest_path = os.path.join(out1, "sweep_manifest.json")
+        seeds = json.load(open(manifest_path))["per_replica_seeds"]
+        assert [(s["N"], s["replica"]) for s in seeds] == [(3, 0), (3, 1), (4, 0), (4, 1)]
+        assert all(set(s) == {"N", "replica", "init", "burn", "run"} for s in seeds)
+        assert len({s[k] for s in seeds for k in ("init", "burn", "run")}) == 12
+        assert main(["sweep", "--config", manifest_path, "--out", out2]) == EXIT_OK
+        a = open(os.path.join(out1, "sweep.csv"), "rb").read()
+        b = open(os.path.join(out2, "sweep.csv"), "rb").read()
+        assert a == b
 
 
 class TestOracle:

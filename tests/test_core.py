@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from matrixqm.core import (
     ORDERED,
+    UNORDERED,
     MatrixConfiguration,
     ModelParams,
     ShapeError,
@@ -26,6 +27,7 @@ from matrixqm.core import (
     total_energy,
     translate,
 )
+from matrixqm.core import _stacked_force
 
 
 def fd_force(config, params, h=1e-6):
@@ -261,6 +263,43 @@ class TestGaugeProperties:
         assert np.max(np.abs(rotated - expected)) <= 1e-10 * np.max(np.abs(f))
 
 
+def loop_force(X, params):
+    """The force as a plain loop over direction pairs, one configuration at a
+    time, symmetrized by adding the two zero-filled triangles."""
+    eps = params.epsilon
+    coeff = 2.0 * eps if params.pair_sum == UNORDERED else 4.0 * eps
+    f = np.zeros_like(X)
+    for a in range(params.d):
+        for b in range(a + 1, params.d):
+            c = X[a] @ X[b] - X[b] @ X[a]
+            f[a] += X[b] @ c - c @ X[b]
+            f[b] -= X[a] @ c - c @ X[a]
+    f *= coeff
+    if params.kappa > 0:
+        f -= 2.0 * params.kappa * eps * X
+    return np.triu(f) + np.swapaxes(np.triu(f, 1), -1, -2)
+
+
+class TestStackedForce:
+    @settings(max_examples=50, deadline=None)
+    @given(FORCE_CASES, st.integers(1, 3), st.sampled_from([ORDERED, UNORDERED]))
+    def test_bitwise_equal_to_pair_loop(self, case, R, pair_sum):
+        N, d, kappa, seed = case
+        p = ModelParams(d=d, N=N, kappa=kappa, pair_sum=pair_sum)
+        X = np.stack([random_config(p, 0.8, seed + r).X for r in range(R)])
+        stacked = _stacked_force(X, p)
+        for r in range(R):
+            ref = loop_force(X[r], p)
+            assert np.array_equal(bits(stacked[r]), bits(ref))
+            assert np.array_equal(bits(force_raw(X[r], p)), bits(ref))
+
+    def test_force_raw_takes_one_configuration(self):
+        p = ModelParams(d=2, N=3)
+        X = random_config(p, 0.5, 0).X
+        with pytest.raises(ShapeError):
+            force_raw(X[None], p)
+
+
 class TestSymmetrizeProperties:
     @settings(max_examples=200, deadline=None)
     @given(MATRIX_STACKS)
@@ -319,6 +358,14 @@ class TestJointDiagonalization:
         warm = joint_diagonalize(cfg, initial_frame=cold.frame)
         assert warm.residual <= cold.residual * (1 + 1e-9)
         assert np.max(np.abs(warm.positions - cold.positions)) < 1e-6
+
+    def test_sweep_count(self):
+        cfg = random_config(ModelParams(d=2, N=6), spread=0.6, seed=33)
+        full = joint_diagonalize(cfg)
+        assert full.converged and 2 <= full.sweeps < 100
+        capped = joint_diagonalize(cfg, max_sweeps=1)
+        assert capped.sweeps == 1 and not capped.converged
+        assert joint_diagonalize(cfg, max_sweeps=0).sweeps == 0
 
     def test_gauge_invariant_positions(self):
         rng = np.random.default_rng(40)

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matrixqm import dynamics
 
@@ -65,7 +67,7 @@ class TestLeapfrog:
         e0 = total_energy(cfg, p)
         integ = IntegratorConfig(mode="microcanonical", dt=1e-3, steps=2000,
                                  record_every=2000)
-        rec = run(cfg, p, integ)
+        rec = run([cfg], p, integ)[0]
         e1 = rec.energies[-1].sum()
         assert abs(e1 - e0) / abs(e0) < 1e-6
 
@@ -108,7 +110,7 @@ class TestLangevin:
         cfg = random_config(p, spread=0.3, seed=2)
         integ = IntegratorConfig(mode="langevin", dt=0.02, steps=20000,
                                  gamma=0.5, temperature=0.3, record_every=5)
-        rec = run(cfg, p, integ, 11)
+        rec = run([cfg], p, integ, [11])[0]
         rec_eq = burn_in_slice(rec, 1000)
         t_est, se = measure_temperature(rec_eq, p)
         assert abs(t_est - 0.3) < 3 * se
@@ -124,7 +126,7 @@ class TestLangevin:
         integ = IntegratorConfig(mode="langevin", dt=0.01, steps=2000,
                                  gamma=0.5, temperature=0.3,
                                  record_every=2000, noise_mode="offdiagonal")
-        rec = run(cfg, p, integ, 4)
+        rec = run([cfg], p, integ, [4])[0]
         tr1 = np.array([np.trace(rec.final_config.X[a]) for a in range(2)])
         assert np.max(np.abs(tr1 - tr0)) < 1e-10
 
@@ -134,7 +136,7 @@ class TestLangevin:
         integ = IntegratorConfig(mode="langevin", dt=0.01, steps=1000,
                                  gamma=0.5, temperature=0.5,
                                  record_every=1000, project_trace_noise=True)
-        rec = run(cfg, p, integ, 6)
+        rec = run([cfg], p, integ, [6])[0]
         assert np.max(np.abs(rec.com_momenta[-1] - rec.com_momenta[0])) < 1e-10
 
     def test_determinism(self):
@@ -142,8 +144,8 @@ class TestLangevin:
         cfg = random_config(p, spread=0.3, seed=1)
         integ = IntegratorConfig(mode="langevin", dt=0.01, steps=200,
                                  gamma=0.5, temperature=0.2)
-        r1 = run(cfg, p, integ, 42)
-        r2 = run(cfg, p, integ, 42)
+        r1 = run([cfg], p, integ, [42])[0]
+        r2 = run([cfg], p, integ, [42])[0]
         lam1 = np.stack([s.lam for s in r1.spectra])
         lam2 = np.stack([s.lam for s in r2.spectra])
         assert np.array_equal(lam1, lam2)
@@ -168,7 +170,7 @@ class TestRunPlumbing:
         cfg = random_config(p, spread=0.3, seed=1)
         integ = IntegratorConfig(mode="microcanonical", dt=0.01, steps=100,
                                  record_every=10, record_frames=True)
-        rec = run(cfg, p, integ)
+        rec = run([cfg], p, integ)[0]
         assert rec.times.shape == (11,)
         assert np.stack([s.lam for s in rec.spectra]).shape == (11, 2, 3)
         assert rec.energies.shape == (11, 2)
@@ -182,7 +184,7 @@ class TestRunPlumbing:
         p = ModelParams(d=3, N=2, mu=2.0)
         cfg = random_config(p, spread=0.2, seed=2)
         integ = IntegratorConfig(mode="microcanonical", dt=0.01, steps=10)
-        rec = run(cfg, p, integ)
+        rec = run([cfg], p, integ)[0]
         assert rec.manifest["model"]["d"] == 3
         assert rec.manifest["model"]["mu"] == 2.0
         assert rec.manifest["steps"] == 10
@@ -193,7 +195,17 @@ class TestRunPlumbing:
         cfg = random_config(p, spread=3.0, seed=3)
         integ = IntegratorConfig(mode="microcanonical", dt=10.0, steps=5000)
         with pytest.raises(NumericsError):
-            run(cfg, p, integ)
+            run([cfg], p, integ)
+
+    def test_numerics_error_names_replica_and_step(self):
+        p = ModelParams(d=2, N=4)
+        cfgs = [random_config(p, spread=s, seed=3) for s in (0.1, 3.0, 0.1)]
+        integ = IntegratorConfig(mode="microcanonical", dt=0.5, steps=5000)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericsError, match=r"^replica 1, step \d+: ") as exc:
+                run(cfgs, p, integ)
+        assert exc.value.replica == 1
+        assert 1 <= exc.value.step < 5000
 
     def test_integrator_config_validation(self):
         with pytest.raises(ValueError):
@@ -259,3 +271,53 @@ class TestEquilibration:
         assert len(calls) == 10
         assert "after 10 steps" in str(exc.value)
         assert "nan" not in str(exc.value)
+
+
+# (d, N, mode, noise_mode, project_trace_noise, kappa, record_frames, seed)
+BATCH_CASES = st.tuples(
+    st.sampled_from([1, 2, 3]), st.integers(2, 10),
+    st.sampled_from(["microcanonical", "langevin"]), st.sampled_from(["all", "offdiagonal"]),
+    st.booleans(), st.sampled_from([0.0, 0.3]), st.booleans(), st.integers(0, 2**32 - 1))
+
+
+def assert_records_equal(a, b):
+    assert np.array_equal(a.times, b.times)
+    assert np.array_equal(np.stack([s.lam for s in a.spectra]),
+                          np.stack([s.lam for s in b.spectra]))
+    assert np.array_equal(a.energies, b.energies)
+    assert np.array_equal(a.com_momenta, b.com_momenta)
+    assert np.array_equal(a.final_config.X, b.final_config.X)
+    assert np.array_equal(a.final_config.V, b.final_config.V)
+    assert a.final_config.time == b.final_config.time
+    assert a.manifest == b.manifest
+    assert (a.frames is None) == (b.frames is None)
+    for fa, fb in zip(a.frames or [], b.frames or []):
+        assert np.array_equal(fa.positions, fb.positions)
+        assert np.array_equal(fa.frame, fb.frame)
+        assert (fa.residual, fa.converged, fa.sweeps) == (fb.residual, fb.converged, fb.sweeps)
+
+
+class TestReplicaBatching:
+    @settings(max_examples=60, deadline=None)
+    @given(BATCH_CASES)
+    def test_each_replica_as_if_alone(self, case):
+        d, N, mode, noise_mode, project, kappa, frames, seed = case
+        p = ModelParams(d=d, N=N, kappa=kappa)
+        integ = IntegratorConfig(mode=mode, dt=0.01, steps=12, gamma=0.5, temperature=0.3,
+                                 record_every=3, record_frames=frames, noise_mode=noise_mode,
+                                 project_trace_noise=project)
+        cfgs = [random_config(p, spread=0.4, seed=seed + r) for r in range(3)]
+        # Microcanonical runs start with nonzero velocities, so they move.
+        cfgs = [MatrixConfiguration(X=c.X, V=0.5 * c.X[::-1], time=0.25 * r)
+                for r, c in enumerate(cfgs)]
+        seeds = [seed, seed + 1, seed]
+        together = run(cfgs, p, integ, seeds)
+        assert len(together) == 3
+        for r in range(3):
+            assert_records_equal(together[r], run([cfgs[r]], p, integ, [seeds[r]])[0])
+
+    def test_seeds_must_match_configs(self):
+        p = ModelParams(d=2, N=3)
+        integ = IntegratorConfig(mode="microcanonical", dt=0.01, steps=2)
+        with pytest.raises(ValueError, match="2 configs but 1 seeds"):
+            run([random_config(p, 0.3, 0)] * 2, p, integ, [0])

@@ -98,10 +98,11 @@ class TestTracking:
         pos = np.array([[0.0, 0.0], [1.0, 0.0]])
         flags = [True, False, True]
         frames = [ParticleFrame(positions=pos, residual=0.1 * k, frame=np.eye(2),
-                                converged=c) for k, c in enumerate(flags)]
+                                converged=c, sweeps=k + 4) for k, c in enumerate(flags)]
         trajs = track_particles(frames, np.arange(3.0))
         assert trajs.converged.tolist() == flags
         assert np.array_equal(trajs.residuals, [0.0, 0.1, 0.2])
+        assert trajs.sweeps.tolist() == [4, 5, 6]
 
     def test_match_is_optimal_beyond_64_particles(self):
         # 33 far-apart pairs at (10k, 0) and (10k + 1, 0) move by +0.9 along x.
@@ -329,6 +330,7 @@ class TestScalingSweep:
                     q.irrot_residual, q.mean_frame_residual):
             assert np.isfinite(val)
         assert q.nonconverged_frames == 0
+        assert 1.0 <= q.mean_frame_sweeps < 100.0
         pts2 = scaling_sweep(p, st, 7)
         assert pts2[0].nu_hat == q.nu_hat
 

@@ -172,7 +172,7 @@ class TestCsv:
         integ = IntegratorConfig(mode="langevin", dt=0.01, steps=40, gamma=0.5,
                                  temperature=0.2, record_every=10,
                                  record_frames=frames)
-        return run(cfg, p, integ, 2)
+        return run([cfg], p, integ, [2])[0]
 
     def test_record_round_trip(self):
         rec = self.make_record()
@@ -213,7 +213,7 @@ class TestCsv:
         text = sweep_to_csv([], "unordered_pairs", "both")
         assert text.splitlines()[0] == (
             "N,T,t_scaled,nu_hat,nu_stderr,nu_pred,hbar_emergent,irrot_residual,"
-            "mean_frame_residual,nonconverged_frames,pair_sum,nu_convention"
+            "mean_frame_residual,nonconverged_frames,mean_frame_sweeps,pair_sum,nu_convention"
         )
 
     def test_wavefunction_round_trip(self):
