@@ -20,6 +20,7 @@ from .core import random_config
 from .dynamics import NumericsError, run
 from .estimators import (
     EigenTrajectory,
+    FieldEstimate,
     Grid,
     estimate_current_velocity,
     estimate_diffusion,
@@ -372,8 +373,6 @@ def _calibration_report(master_seed: int) -> dict:
     # Irrotationality: gradient flow vs rigid rotation.
     g2 = Grid.regular(-2.0, 2.0, 33, ndim=2)
     mesh = np.meshgrid(*g2.axes, indexing="ij")
-    from .estimators import FieldEstimate
-
     grad_field = FieldEstimate(grid=g2, v=np.stack([np.cos(mesh[0]), np.cos(mesh[1])]))
     rot_field = FieldEstimate(grid=g2, v=np.stack([-mesh[1], mesh[0]]))
     report["irrotationality"] = {

@@ -1,4 +1,4 @@
-"""Time evolution: velocity-Verlet, BAOAB Langevin thermostat, equilibration.
+"""Time evolution (velocity-Verlet, BAOAB Langevin) and temperature estimates.
 
 The matrix equations of motion from L = mu*Tr(Xdot^2) - U are
 Xdotdot = F / (2*mu) with F = -dU/dX, so the Verlet update acts on whole
@@ -11,15 +11,13 @@ entries so that the sampled measure is exp(-(K+U)/T).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     MatrixConfiguration,
     ModelParams,
-    ParticleFrame,
-    Spectrum,
     _stacked_force,
     com_momentum,
     eigenvalues,
@@ -27,7 +25,6 @@ from .core import (
     joint_diagonalize,
     kinetic_energy,
     potential_energy,
-    symmetrize,
 )
 
 MICROCANONICAL = "microcanonical"
@@ -87,7 +84,6 @@ class TrajectoryRecord:
     energies: np.ndarray  # (n, 2): columns K, U
     com_momenta: np.ndarray  # (n, d)
     frames: list | None = None  # list[ParticleFrame] when recorded
-    manifest: dict = field(default_factory=dict)
     final_config: MatrixConfiguration | None = None  # for chaining runs; not serialized
 
     def __post_init__(self):
@@ -280,26 +276,6 @@ def run(
                 rec.add(MatrixConfiguration(X=X[r], V=V[r], time=t0[r] + step * integ.dt),
                         params)
 
-    manifest = {
-        "mode": integ.mode,
-        "dt": integ.dt,
-        "steps": integ.steps,
-        "gamma": integ.gamma,
-        "temperature": integ.temperature,
-        "seed": None,
-        "record_every": integ.record_every,
-        "noise_mode": integ.noise_mode,
-        "project_trace_noise": integ.project_trace_noise,
-        "com_momentum_conserved": integ.mode == MICROCANONICAL and params.kappa == 0.0,
-        "pair_sum": params.pair_sum,
-        "model": {
-            "d": params.d,
-            "N": params.N,
-            "mu": params.mu,
-            "omega": params.omega,
-            "kappa": params.kappa,
-        },
-    }
     return [
         TrajectoryRecord(
             times=np.array(rec.times),
@@ -307,7 +283,6 @@ def run(
             energies=np.array(rec.energies),
             com_momenta=np.array(rec.momenta),
             frames=rec.frames,
-            manifest=dict(manifest, seed=seeds[r]),
             final_config=MatrixConfiguration(X=X[r], V=V[r], time=t0[r] + integ.steps * integ.dt),
         )
         for r, rec in enumerate(recorders)
@@ -361,65 +336,3 @@ def measure_temperature(record: TrajectoryRecord, params: ModelParams) -> tuple[
     stderr = float(means.std(ddof=1) / np.sqrt(nblocks))
     return float(T_series.mean()), stderr
 
-
-def equilibrate(
-    config: MatrixConfiguration,
-    params: ModelParams,
-    integ: IntegratorConfig,
-    seed: int,
-    tol: float,
-    max_steps: int = 1_000_000,
-    chunk_steps: int = 2000,
-) -> tuple[MatrixConfiguration, dict]:
-    """Run Langevin chunks until the kinetic temperature settles at the target.
-
-    Convergence: over a trailing window of 10 autocorrelation times
-    (autocorrelation measured on U), the mean kinetic temperature is within
-    tol of integ.temperature.  Returns the equilibrated configuration and
-    diagnostics including the burn-in step count.
-    """
-    if integ.mode != LANGEVIN:
-        raise ValueError("equilibrate requires langevin mode")
-    if tol == np.inf:
-        return config.copy(), {"burn_in_steps": 0, "converged": True, "T_est": None}
-
-    rngs = [np.random.default_rng(seed)]
-    o = _OStep(params, integ.dt, integ.gamma, integ.temperature, integ)
-    cfg = config.copy()
-    record_every = max(1, integ.record_every)
-    T_hist: list[float] = []
-    U_hist: list[float] = []
-    steps_done = 0
-    X, V = cfg.X, cfg.V
-    t0 = cfg.time
-    f = _stacked_force(X, params)
-    while steps_done < max_steps:
-        for _ in range(min(chunk_steps, max_steps - steps_done)):
-            X, V, f = _langevin_raw(X, V, f, params, integ.dt, o, rngs)
-            steps_done += 1
-            if steps_done % record_every == 0:
-                cfg = MatrixConfiguration(X=X, V=V, time=t0 + steps_done * integ.dt)
-                T_hist.append(2.0 * kinetic_energy(cfg, params) / params.n_dof)
-                U_hist.append(potential_energy(cfg, params))
-        cfg = MatrixConfiguration(X=X, V=V, time=t0 + steps_done * integ.dt)
-        if not np.isfinite(cfg.X).all():
-            raise NumericsError(steps_done, "non-finite entry during equilibration")
-        if len(U_hist) < 16:
-            continue
-        tau = integrated_autocorrelation_time(np.array(U_hist))
-        window = max(16, int(np.ceil(10.0 * tau)))
-        if len(T_hist) < window:
-            continue
-        T_win = float(np.mean(T_hist[-window:]))
-        if abs(T_win - integ.temperature) <= tol:
-            return cfg, {
-                "burn_in_steps": steps_done,
-                "converged": True,
-                "T_est": T_win,
-                "tau_U": tau,
-            }
-    last = f"last window T={np.mean(T_hist[-16:]):.4g}" if T_hist else "no T sample recorded"
-    raise RuntimeError(
-        f"equilibrate did not converge after {steps_done} steps "
-        f"({last}, target {integ.temperature:.4g})"
-    )

@@ -1,4 +1,4 @@
-"""Statistics of eigenvalue trajectories: density, velocities, diffusion, scaling.
+"""Statistics of eigenvalue trajectories: velocity fields, diffusion, scaling.
 
 Everything here operates on ensembles of identity-matched particle
 trajectories extracted from matrix runs (or on synthetic paths, which is
@@ -93,7 +93,6 @@ class FieldEstimate:
     grid: Grid
     rho: np.ndarray | None = None
     v: np.ndarray | None = None  # shape (ndim, *grid.shape)
-    u: np.ndarray | None = None
     mask: np.ndarray | None = None  # True on usable (occupied) cells
     bandwidth: float = 0.0
     n_samples: int = 0
@@ -104,10 +103,6 @@ class FieldEstimate:
 class DiffusionEstimate:
     nu_hat: float
     stderr: float
-    fit_window: tuple
-    method: str
-    n_lags: int = 0
-    per_direction: np.ndarray | None = None
 
     def __post_init__(self):
         if self.nu_hat < 0 or self.stderr < 0:
@@ -135,7 +130,7 @@ class ScalingPoint:
 
 def _match(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
     """Permutation p minimizing sum |prev_i - cur_{p(i)}|^2."""
-    # Imported here: tracking is the only scipy.optimize user, and the import
+    # Imported here: tracking is the only scipy user, and the import
     # costs every other command most of its start-up time.
     from scipy.optimize import linear_sum_assignment
 
@@ -178,50 +173,11 @@ def silverman_bandwidth(samples: np.ndarray) -> float:
     return 0.9 * max(scale, 1e-12) * n ** (-0.2)
 
 
-def _sample_positions_at(trajectories, query_time, grid_ndim):
-    """Pool particle positions at the recorded time closest to query_time."""
-    pts = []
-    for tr in trajectories:
-        i = int(np.argmin(np.abs(tr.times - query_time)))
-        p = tr.positions[i]
-        if grid_ndim == p.shape[1]:
-            pts.append(p)
-        elif grid_ndim == 1:
-            pts.append(p.reshape(-1, 1))  # pool every coordinate as a scalar sample
-        else:
-            raise ValueError(f"grid ndim {grid_ndim} incompatible with data d={p.shape[1]}")
-    return np.concatenate(pts, axis=0)
-
-
 def _kernel_weights(grid: Grid, samples: np.ndarray, bandwidth: float) -> np.ndarray:
     """Gaussian kernel matrix, shape (n_cells, n_samples)."""
     g = grid.points()  # (n_cells, ndim)
     d2 = np.sum((g[:, None, :] - samples[None, :, :]) ** 2, axis=2)
     return np.exp(-0.5 * d2 / bandwidth**2)
-
-
-def estimate_density(trajectories, query_time, grid: Grid, bandwidth: float) -> FieldEstimate:
-    """Gaussian-kernel density of the pooled ensemble at query_time, grid-normalized."""
-    if len(trajectories) < 2:
-        raise ValueError("need at least 2 replicas")
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be > 0")
-    samples = _sample_positions_at(trajectories, query_time, grid.ndim)
-    if len(samples) == 0:
-        raise ValueError("empty ensemble")
-    w = _kernel_weights(grid, samples, bandwidth)
-    rho = w.sum(axis=1).reshape(grid.shape)
-    total = rho.sum() * grid.cell_volume
-    if total <= 0:
-        raise ValueError("all samples fall outside the grid")
-    rho = rho / total
-    return FieldEstimate(
-        grid=grid,
-        rho=rho,
-        mask=rho > 0,
-        bandwidth=bandwidth,
-        n_samples=len(samples),
-    )
 
 
 def estimate_current_velocity(
@@ -282,37 +238,6 @@ def estimate_current_velocity(
         bandwidth=bandwidth,
         n_samples=len(pos),
         v_stderr=v_stderr,
-    )
-
-
-def estimate_osmotic_velocity(
-    rho_estimate: FieldEstimate, nu: float, rho_floor_frac: float = 1e-6
-) -> FieldEstimate:
-    """u = nu * grad(ln rho) by central differences; low-density cells masked."""
-    rho = rho_estimate.rho
-    if rho is None:
-        raise ValueError("rho_estimate carries no density")
-    grid = rho_estimate.grid
-    floor = rho_floor_frac * rho.max()
-    mask = rho > floor
-    if not mask.any():
-        raise ValueError("all cells below the density floor")
-    logrho = np.log(np.where(mask, rho, floor))
-    u = np.zeros((grid.ndim,) + grid.shape)
-    if nu != 0.0:
-        grads = np.gradient(logrho, *grid.spacings) if grid.ndim > 1 else [
-            np.gradient(logrho, grid.spacings[0])
-        ]
-        for a in range(grid.ndim):
-            u[a] = nu * grads[a]
-            u[a][~mask] = 0.0
-    return FieldEstimate(
-        grid=grid,
-        rho=rho,
-        u=u,
-        mask=mask,
-        bandwidth=rho_estimate.bandwidth,
-        n_samples=rho_estimate.n_samples,
     )
 
 
@@ -391,8 +316,8 @@ def irrotationality_residual(v_field: FieldEstimate) -> float:
 # diffusion
 
 
-MSD_SLOPE = "msd_slope"
-QUADRATIC_VARIATION = "quadratic_variation"
+# Bootstrap resamples of the replicas behind each diffusion stderr.
+N_BOOTSTRAP = 200
 
 
 def _stack_positions(trajectories):
@@ -403,78 +328,45 @@ def _stack_positions(trajectories):
     return times, np.stack([tr.positions for tr in trajectories])  # (R, T, N, d)
 
 
-def estimate_diffusion(
-    trajectories,
-    fit_window: tuple,
-    method: str = MSD_SLOPE,
-    remove_drift: bool = True,
-    n_bootstrap: int = 200,
-    seed: int = 0,
-) -> DiffusionEstimate:
+def estimate_diffusion(trajectories, fit_window: tuple, seed: int = 0) -> DiffusionEstimate:
     """Per-coordinate diffusion constant of an ensemble of paths.
 
-    msd_slope fits <(dx)^2> = 2 nu tau over lags inside fit_window after
+    Fits <(dx)^2> = 2 nu tau over the lags inside fit_window after
     subtracting the ensemble-mean displacement (drift).  The standard error
     comes from a bootstrap over replicas.
     """
     times, pos = _stack_positions(trajectories)
-    R, T, N, d = pos.shape
+    R, T, N, _ = pos.shape
     dt = times[1] - times[0]
     tau_min, tau_max = fit_window
-    if method == QUADRATIC_VARIATION:
-        lags = [1]
-    else:
-        lags = [k for k in range(1, T) if tau_min <= k * dt <= tau_max]
-        if len(lags) < 5:
-            raise ValueError(
-                f"fit window ({tau_min}, {tau_max}) contains {len(lags)} lags (< 5)"
-            )
+    lags = [k for k in range(1, T) if tau_min <= k * dt <= tau_max]
+    if len(lags) < 5:
+        raise ValueError(
+            f"fit window ({tau_min}, {tau_max}) contains {len(lags)} lags (< 5)"
+        )
 
     # per-replica, per-lag mean squared (drift-corrected) displacement
     msd_r = np.zeros((R, len(lags)))
-    msd_dir = np.zeros((len(lags), d))
     n_paths = R * N
-    bias = n_paths / (n_paths - 1) if (remove_drift and n_paths > 1) else 1.0
+    bias = n_paths / (n_paths - 1) if n_paths > 1 else 1.0
     for j, k in enumerate(lags):
-        disp = pos[:, k:, :, :] - pos[:, :-k, :, :]  # (R, T-k, N, d)
-        if remove_drift:
-            disp = disp - disp.mean(axis=(0, 2), keepdims=True)
+        disp = pos[:, k:] - pos[:, :-k]  # (R, T-k, N, d)
+        disp = disp - disp.mean(axis=(0, 2), keepdims=True)
         msd_r[:, j] = bias * np.mean(disp**2, axis=(1, 2, 3))
-        msd_dir[j] = bias * np.mean(disp**2, axis=(0, 1, 2))
 
     taus = np.array(lags) * dt
 
     def fit(msd_mean):
-        if method == QUADRATIC_VARIATION:
-            return float(msd_mean[0] / (2.0 * dt))
         return float(np.dot(msd_mean, taus) / (2.0 * np.dot(taus, taus)))
 
     nu_hat = max(fit(msd_r.mean(axis=0)), 0.0)
-    per_direction = np.array([
-        max(float(np.dot(msd_dir[:, a], taus) / (2.0 * np.dot(taus, taus))), 0.0)
-        if method == MSD_SLOPE
-        else max(float(msd_dir[0, a] / (2.0 * dt)), 0.0)
-        for a in range(d)
-    ])
-
-    if R > 1 and n_bootstrap > 0:
+    stderr = 0.0
+    if R > 1:
         rng = np.random.default_rng(seed)
-        draws = np.empty(n_bootstrap)
-        for b in range(n_bootstrap):
-            idx = rng.integers(0, R, size=R)
-            draws[b] = fit(msd_r[idx].mean(axis=0))
+        draws = np.array([fit(msd_r[rng.integers(0, R, size=R)].mean(axis=0))
+                          for _ in range(N_BOOTSTRAP)])
         stderr = float(draws.std(ddof=1))
-    else:
-        stderr = 0.0
-
-    return DiffusionEstimate(
-        nu_hat=nu_hat,
-        stderr=stderr,
-        fit_window=(tau_min, tau_max),
-        method=method,
-        n_lags=len(lags),
-        per_direction=per_direction,
-    )
+    return DiffusionEstimate(nu_hat=nu_hat, stderr=stderr)
 
 
 # ---------------------------------------------------------------------------

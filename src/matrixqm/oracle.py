@@ -1,11 +1,10 @@
 """Independent quantum-mechanics reference: Schrödinger solver + Nelson SDE.
 
-A 1D norm-preserving solver (split-step Fourier on periodic grids,
-Crank-Nicolson on Dirichlet grids), the wavefunction <-> (rho, S)
-constructions, and an Euler-Maruyama walker simulator whose drift is
-b = v + u with mass*v = dS/dx and u = nu * d(ln rho)/dx.  Used to
-calibrate the estimator pipeline and to compare against matrix-model
-eigenvalue statistics under the emergent hbar.
+A 1D norm-preserving split-step Fourier solver on periodic grids, the
+wavefunction <-> (rho, S) constructions, and an Euler-Maruyama walker
+simulator whose drift is b = v + u with mass*v = dS/dx and
+u = nu * d(ln rho)/dx.  Used to calibrate the estimator pipeline and to
+compare against matrix-model eigenvalue statistics under the emergent hbar.
 
 The Nelson diffusion coefficient nu is always an explicit argument; both
 conventions nu = hbar/(2*mass) (Nelson's) and nu = hbar/mass are exercised
@@ -19,9 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PERIODIC = "periodic"
-DIRICHLET = "dirichlet"
-
 
 @dataclass
 class WaveFunction:
@@ -32,15 +28,12 @@ class WaveFunction:
     hbar: float
     mass: float
     time: float = 0.0
-    boundary: str = PERIODIC
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
         self.psi = np.asarray(self.psi, dtype=complex)
         if self.hbar <= 0 or self.mass <= 0:
             raise ValueError("hbar and mass must be > 0")
-        if self.boundary not in (PERIODIC, DIRICHLET):
-            raise ValueError(f"unknown boundary {self.boundary!r}")
 
     @property
     def h(self) -> float:
@@ -54,7 +47,7 @@ class WaveFunction:
         n = np.sqrt(self.norm)
         if n == 0:
             raise ValueError("cannot normalize a vanishing wavefunction")
-        return WaveFunction(self.x, self.psi / n, self.hbar, self.mass, self.time, self.boundary)
+        return WaveFunction(self.x, self.psi / n, self.hbar, self.mass, self.time)
 
     def density(self) -> np.ndarray:
         return np.abs(self.psi) ** 2
@@ -88,14 +81,14 @@ class DriftField:
     mask: np.ndarray
 
 
-def gaussian_packet(x, x0, sigma0, p0, hbar, mass, boundary=PERIODIC) -> WaveFunction:
+def gaussian_packet(x, x0, sigma0, p0, hbar, mass) -> WaveFunction:
     """Minimum-uncertainty packet: position spread sigma0, mean momentum p0."""
     psi = np.exp(-((x - x0) ** 2) / (4.0 * sigma0**2) + 1j * p0 * x / hbar)
-    wf = WaveFunction(np.asarray(x, float), psi, hbar, mass, 0.0, boundary)
+    wf = WaveFunction(np.asarray(x, float), psi, hbar, mass)
     return wf.normalized()
 
 
-def harmonic_eigenstate(x, n, omega0, hbar, mass, boundary=PERIODIC) -> WaveFunction:
+def harmonic_eigenstate(x, n, omega0, hbar, mass) -> WaveFunction:
     """n-th oscillator eigenstate of V = (1/2) mass omega0^2 x^2."""
     from numpy.polynomial.hermite import hermval
 
@@ -104,7 +97,7 @@ def harmonic_eigenstate(x, n, omega0, hbar, mass, boundary=PERIODIC) -> WaveFunc
     coeffs = np.zeros(n + 1)
     coeffs[n] = 1.0
     psi = hermval(xi, coeffs) * np.exp(-0.5 * xi**2)
-    wf = WaveFunction(np.asarray(x, float), psi.astype(complex), hbar, mass, 0.0, boundary)
+    wf = WaveFunction(np.asarray(x, float), psi.astype(complex), hbar, mass)
     return wf.normalized()
 
 
@@ -114,11 +107,12 @@ def free_packet_width(sigma0, t, hbar, mass) -> float:
 
 
 def _check_timestep(wf: WaveFunction, V: np.ndarray, dt: float):
-    k_max = np.pi / wf.h
-    e_max = wf.hbar**2 * k_max**2 / (2.0 * wf.mass) + float(np.max(np.abs(V)))
-    if dt * e_max / wf.hbar > 0.1:
+    # Split-step applies the kinetic factor exactly in Fourier space, so the
+    # step error comes from the potential phase dt*V/hbar taken per half-step.
+    phase = dt * float(np.max(np.abs(V))) / wf.hbar
+    if phase > 0.1:
         warnings.warn(
-            f"dt*E_max/hbar = {dt * e_max / wf.hbar:.3g} > 0.1; accuracy may suffer",
+            f"dt*max|V|/hbar = {phase:.3g} > 0.1; accuracy may suffer",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -137,34 +131,6 @@ def _evolve_split_step(wf: WaveFunction, V: np.ndarray, dt: float, steps: int) -
     return psi
 
 
-def _evolve_crank_nicolson(wf: WaveFunction, V: np.ndarray, dt: float, steps: int) -> np.ndarray:
-    # Cayley form (1 + i dt H / 2hbar) psi' = (1 - i dt H / 2hbar) psi, psi = 0 at the ends.
-    # scipy is imported here so that the periodic solver never loads it.
-    from scipy.linalg import solve_banded
-
-    n = len(wf.x)
-    h = wf.h
-    t = wf.hbar**2 / (2.0 * wf.mass * h**2)
-    diag = 2.0 * t + V
-    off = -t * np.ones(n - 1)
-    z = 0.5j * dt / wf.hbar
-
-    ab = np.zeros((3, n), dtype=complex)
-    ab[0, 1:] = z * off
-    ab[1, :] = 1.0 + z * diag
-    ab[2, :-1] = z * off
-
-    psi = wf.psi.copy()
-    psi[0] = psi[-1] = 0.0
-    for _ in range(steps):
-        rhs = (1.0 - z * diag) * psi
-        rhs[:-1] -= z * off * psi[1:]
-        rhs[1:] -= z * off * psi[:-1]
-        psi = solve_banded((1, 1), ab, rhs)
-        psi[0] = psi[-1] = 0.0
-    return psi
-
-
 def evolve_schrodinger(wf: WaveFunction, V, dt: float, steps: int) -> WaveFunction:
     """Norm-preserving evolution under i hbar dpsi/dt = [-hbar^2/(2m) d^2/dx^2 + V] psi."""
     if dt <= 0:
@@ -173,14 +139,11 @@ def evolve_schrodinger(wf: WaveFunction, V, dt: float, steps: int) -> WaveFuncti
     if np.iscomplexobj(V):
         raise ValueError("V must be real")
     _check_timestep(wf, V, dt)
-    if wf.boundary == PERIODIC:
-        psi = _evolve_split_step(wf, V, dt, steps)
-    else:
-        psi = _evolve_crank_nicolson(wf, V, dt, steps)
-    return WaveFunction(wf.x, psi, wf.hbar, wf.mass, wf.time + steps * dt, wf.boundary)
+    psi = _evolve_split_step(wf, V, dt, steps)
+    return WaveFunction(wf.x, psi, wf.hbar, wf.mass, wf.time + steps * dt)
 
 
-def build_wavefunction(m: MadelungPair, mass: float = 1.0, boundary=PERIODIC) -> WaveFunction:
+def build_wavefunction(m: MadelungPair, mass: float = 1.0) -> WaveFunction:
     """psi = sqrt(rho) exp(i S / hbar), normalized."""
     rho = np.asarray(m.rho, dtype=float)
     if np.any(rho < 0):
@@ -189,7 +152,7 @@ def build_wavefunction(m: MadelungPair, mass: float = 1.0, boundary=PERIODIC) ->
     # (S is NaN there); any finite stand-in works since rho is negligible.
     S = np.where(np.isfinite(m.S), m.S, 0.0)
     psi = np.sqrt(rho) * np.exp(1j * S / m.hbar)
-    return WaveFunction(m.x, psi, m.hbar, mass, 0.0, boundary).normalized()
+    return WaveFunction(m.x, psi, m.hbar, mass).normalized()
 
 
 def madelung_decompose(wf: WaveFunction, rho_floor_frac: float = 1e-8) -> MadelungPair:
@@ -212,27 +175,15 @@ def madelung_decompose(wf: WaveFunction, rho_floor_frac: float = 1e-8) -> Madelu
     return MadelungPair(x=wf.x, rho=rho, S=S, hbar=wf.hbar, mask=mask)
 
 
-def phase_renormalize(wf: WaveFunction, E: float, t_now: float) -> WaveFunction:
-    """Global phase rotation psi -> exp(i E t / hbar) psi; densities untouched."""
-    psi = np.exp(1j * E * t_now / wf.hbar) * wf.psi
-    return WaveFunction(wf.x, psi, wf.hbar, wf.mass, wf.time, wf.boundary)
-
-
-def nelson_drift(source, nu: float, mass: float | None = None) -> DriftField:
+def nelson_drift(wf: WaveFunction, nu: float) -> DriftField:
     """Forward drift b = v + u with mass*v = dS/dx and u = nu * d(ln rho)/dx."""
-    if isinstance(source, WaveFunction):
-        m = madelung_decompose(source)
-        mass = source.mass
-    else:
-        m = source
-        if mass is None:
-            raise ValueError("mass required when passing a MadelungPair")
+    m = madelung_decompose(wf)
     h = float(m.x[1] - m.x[0])
-    mask = m.mask if m.mask is not None else np.ones_like(m.rho, dtype=bool)
+    mask = m.mask
     floor = m.rho[mask].min() if mask.any() else 1e-300
     safe_rho = np.where(mask, m.rho, floor)
     safe_S = np.where(np.isfinite(m.S), m.S, 0.0)
-    v = np.gradient(safe_S, h) / mass
+    v = np.gradient(safe_S, h) / wf.mass
     u = nu * np.gradient(np.log(safe_rho), h)
     v[~mask] = 0.0
     u[~mask] = 0.0
@@ -249,33 +200,24 @@ def nelson_evolve(
 ) -> NelsonEnsemble:
     """Euler-Maruyama walkers: dx = b(x, t) dt + sqrt(2 nu) dW.
 
-    psi_series supplies the drift: a single WaveFunction/DriftField (frozen)
-    or a list of them; the snapshot with time closest to the walker clock is
-    used at each step.  Walkers leaving the grid are reflected (counted).
+    psi_series supplies the drift: a single WaveFunction (frozen) or a list
+    of them; the snapshot with time closest to the walker clock is used at
+    each step.  Walkers leaving the grid are reflected (counted).
     """
-    def to_field(obj):
-        if isinstance(obj, DriftField):
-            return obj
-        return nelson_drift(obj, nu)
+    if isinstance(psi_series, WaveFunction):
+        psi_series = [psi_series]
+    snaps = sorted(psi_series, key=lambda wf: wf.time)
+    fields = [nelson_drift(wf, nu) for wf in snaps]
 
-    if isinstance(psi_series, (WaveFunction, DriftField)):
-        series = [(0.0, to_field(psi_series))]
-    else:
-        series = []
-        for obj in psi_series:
-            t = obj.time if isinstance(obj, WaveFunction) else 0.0
-            series.append((t, to_field(obj)))
-        series.sort(key=lambda p: p[0])
-
-    snap_times = np.array([t for t, _ in series])
+    snap_times = np.array([wf.time for wf in snaps])
     rng = np.random.default_rng(seed)
     x = np.asarray(ensemble.walkers, dtype=float).copy()
-    lo, hi = series[0][1].x[0], series[0][1].x[-1]
+    lo, hi = fields[0].x[0], fields[0].x[-1]
     t = ensemble.time
     reflections = ensemble.reflections
     amp = np.sqrt(2.0 * nu * dt)
     for _ in range(steps):
-        fld = series[int(np.argmin(np.abs(snap_times - t)))][1]
+        fld = fields[int(np.argmin(np.abs(snap_times - t)))]
         b = np.interp(x, fld.x, fld.b)
         x = x + b * dt + amp * rng.standard_normal(len(x))
         below = x < lo

@@ -12,9 +12,7 @@ from matrixqm.estimators import (
     continuity_residual,
     emergent_hbar,
     estimate_current_velocity,
-    estimate_density,
     estimate_diffusion,
-    estimate_osmotic_velocity,
     irrotationality_residual,
     predicted_diffusion,
     scaled_temperature,
@@ -116,26 +114,6 @@ class TestTracking:
 
 
 class TestDensity:
-    def test_gaussian_recovered(self):
-        rng = np.random.default_rng(0)
-        # 50 replicas x 200 particles of standard-normal positions.
-        samples = rng.normal(0.0, 1.0, size=(50, 200))
-        times = np.array([0.0])
-        trajs = [EigenTrajectory(times=times, positions=s[None, :, None],
-                                 replica_id=i) for i, s in enumerate(samples)]
-        grid = Grid.regular(-4.0, 4.0, 81)
-        est = estimate_density(trajs, 0.0, grid, silverman_bandwidth(samples.ravel()))
-        truth = np.exp(-grid.axes[0] ** 2 / 2) / np.sqrt(2 * np.pi)
-        l1 = np.sum(np.abs(est.rho - truth)) * grid.cell_volume
-        assert l1 < 0.05
-        assert np.sum(est.rho) * grid.cell_volume == pytest.approx(1.0, abs=1e-9)
-
-    def test_needs_multiple_replicas(self):
-        trajs = brownian_trajectories(0.1, 1, 10, 0.01, 3)
-        grid = Grid.regular(-1, 1, 11)
-        with pytest.raises(ValueError):
-            estimate_density(trajs, 0.0, grid, 0.2)
-
     def test_silverman_positive(self):
         rng = np.random.default_rng(5)
         assert silverman_bandwidth(rng.normal(size=500)) > 0
@@ -176,21 +154,6 @@ class TestCurrentVelocity:
         vf = estimate_current_velocity(trajs, 0.2, grid, 0.2, lag=5)
         within = np.abs(vf.v[0][vf.mask]) <= 3 * vf.v_stderr[0][vf.mask]
         assert within.mean() > 0.8
-
-
-class TestOsmoticVelocity:
-    def test_gaussian_exact(self):
-        # For a Gaussian rho, u = nu d/dx ln rho = -nu x / sigma^2 exactly
-        # up to central-difference error on log of a quadratic (zero).
-        grid = Grid.regular(-3.0, 3.0, 61)
-        sigma, nu = 0.8, 0.25
-        rho = np.exp(-grid.axes[0] ** 2 / (2 * sigma**2))
-        rho /= rho.sum() * grid.cell_volume
-        est = FieldEstimate(grid=grid, rho=rho, mask=np.ones(61, dtype=bool))
-        u = estimate_osmotic_velocity(est, nu)
-        interior = slice(1, -1)
-        expected = -nu * grid.axes[0][interior] / sigma**2
-        assert np.max(np.abs(u.u[0][interior] - expected)) < 1e-10
 
 
 class TestContinuity:
@@ -265,12 +228,6 @@ class TestDiffusion:
         theta, nu, dt = 1.0, 0.2, 0.01
         trajs = ou_trajectories(theta, nu, 400, 200, dt, 13, np.sqrt(nu / theta))
         est = estimate_diffusion(trajs, (dt, 10 * dt))
-        assert abs(est.nu_hat - nu) / nu < 0.05
-
-    def test_quadratic_variation_method(self):
-        nu = 0.1
-        trajs = brownian_trajectories(nu, 50, 1000, 0.01, 14)
-        est = estimate_diffusion(trajs, (0.01, 0.1), method="quadratic_variation")
         assert abs(est.nu_hat - nu) / nu < 0.05
 
     def test_window_too_narrow(self):
