@@ -139,7 +139,7 @@ class ParticleFrame:
     residual: float
     frame: np.ndarray
     converged: bool = True
-    sweeps: int = 0  # Jacobi sweeps run, at most max_sweeps
+    sweeps: int = 0  # all-pairs Jacobi iterations run, at most max_sweeps
 
 
 def _check_shapes(config: MatrixConfiguration, params: ModelParams):
@@ -240,109 +240,74 @@ def eigenvalues(config: MatrixConfiguration) -> Spectrum:
     return Spectrum(lam=lam)
 
 
-@lru_cache(maxsize=32)
-def _jacobi_rounds(N: int) -> tuple:
-    """Round-robin tournament schedule over N indices, as flat N x N offsets.
+def _pair_angles(A: np.ndarray) -> np.ndarray:
+    """Optimal Givens angle of every index pair, from one snapshot of A (d, N, N).
 
-    Each round pairs up all indices into disjoint (p, q) couples.  Disjoint
-    pairs do not feed each other's Givens angles (the angle for (p, q) uses
-    only the pp, qq, pq entries), so the rotations of one round can be
-    computed from a common snapshot and applied together as one dense
-    orthogonal matrix G.  A round is (gather, put): the (3, k) offsets of the
-    pp, qq and pq entries, and the offsets of G's pp, qq, pq and qp entries.
+    theta_pq is the Cardoso-Souloumiac joint-diagonalization angle for real
+    symmetric matrices (the angle that, applied alone, minimizes the pair's
+    off-diagonal norm), computed for all pairs at once.  Returned as the
+    antisymmetric K with K_pq = theta_pq for p < q, the generator whose
+    small-angle rotation has G_pq = sin(theta_pq).
     """
-    slots = list(range(N)) + ([N] if N % 2 else [])  # N marks a bye
-    M = len(slots)
-    rounds = []
-    for _ in range(M - 1):
-        pairs = [(slots[i], slots[M - 1 - i]) for i in range(M // 2)]
-        pairs = [(min(p, q), max(p, q)) for p, q in pairs if N not in (p, q)]
-        p, q = np.array([p for p, _ in pairs]), np.array([q for _, q in pairs])
-        pp, qq, pq, qp = p * N + p, q * N + q, p * N + q, q * N + p
-        gather, put = np.stack([pp, qq, pq]), np.concatenate([pp, qq, pq, qp])
-        gather.flags.writeable = put.flags.writeable = False
-        rounds.append((gather, put))
-        slots = [slots[0]] + [slots[-1]] + slots[1:-1]
-    return tuple(rounds)
+    diag = np.diagonal(A, axis1=1, axis2=2)
+    ton = diag[:, :, None] - diag[:, None, :]  # A_pp - A_qq
+    toff = 2.0 * A  # 2 A_pq
+    g11 = np.add.reduce(ton * ton, axis=0)
+    g12 = np.add.reduce(ton * toff, axis=0)
+    g22 = np.add.reduce(toff * toff, axis=0)
+    diff, two12 = g11 - g22, 2.0 * g12
+    K = np.triu(0.5 * np.arctan2(two12, diff + np.hypot(diff, two12)), 1)
+    return K - K.T
 
 
 def joint_diagonalize(
     config: MatrixConfiguration,
-    max_sweeps: int = 100,
-    tol: float = 1e-10,
+    max_sweeps: int = 1000,
+    tol: float = 1e-8,
     initial_frame: np.ndarray | None = None,
 ) -> ParticleFrame:
-    """Approximate simultaneous diagonalization by Jacobi rotation sweeps.
+    """Approximate simultaneous diagonalization by all-pairs Jacobi iterations.
 
     Finds O in SO(N) minimizing the total off-diagonal Frobenius norm of
-    O X_a O^T over all directions a (Givens rotations, one sweep touching
-    every index pair).  Returns the diagonal values as N points in R^d,
-    sorted lexicographically, with the attained off-diagonal norm as a
+    O X_a O^T over all directions a.  Each iteration takes the optimal
+    Givens angle of every index pair from the current matrices and applies
+    them together as one orthogonal update, the Cayley transform
+    G = (I - K/2)^-1 (I + K/2) of the antisymmetric angle matrix K: A <- G A G^T,
+    O <- G O (the orthogonal analogue of the simultaneous updates of FFDiag,
+    Ziehe et al., JMLR 5, 2004).  It stops once every angle is at most tol
+    radians, or after max_sweeps iterations (then converged is False).
+    Returns the diagonal values as N points in R^d, sorted
+    lexicographically, with the attained off-diagonal norm as a
     commutativity quality score.
 
     A warm start (initial_frame) speeds up tracking along a trajectory.
     """
     N = config.N
-    d = config.d
     if initial_frame is not None:
         O = initial_frame
-        A = np.stack([O @ config.X[a] @ O.T for a in range(d)])
+        A = O @ config.X @ O.T
     else:
         O = np.eye(N)
         A = config.X
 
-    # Stop when every rotation in a sweep is below this angle threshold.
-    scale = max(np.max(np.abs(A)), 1.0)
-    sin_tol = max(tol, 1e-14) / scale
-
-    def _off2(B):
-        off = B - np.stack([np.diag(np.diag(B[a])) for a in range(d)])
-        return float(np.sum(off * off))
-
     eye = np.eye(N)
     converged = False
     sweeps = 0
-    prev_off2 = _off2(A)
-    for sweeps in range(1, max_sweeps + 1):
-        largest = 0.0
-        for gather, put in _jacobi_rounds(N):
-            # Optimal Givens angles for real symmetric matrices
-            # (Cardoso-Souloumiac joint-diagonalization criterion).
-            t = A.reshape(d, N * N).take(gather, axis=1)  # (d, 3, k): pp, qq, pq
-            ton = t[:, 0] - t[:, 1]
-            toff = 2.0 * t[:, 2]
-            g11, g12, g22 = np.add.reduce(
-                np.stack((ton * ton, ton * toff, toff * toff), axis=1), axis=0)
-            diff, two12 = g11 - g22, 2.0 * g12
-            theta = 0.5 * np.arctan2(two12, diff + np.hypot(diff, two12))
-            c = np.cos(theta)
-            s = np.sin(theta)
-            skip = np.abs(s) <= sin_tol
-            if skip.all():
-                continue
-            c = np.where(skip, 1.0, c)
-            s = np.where(skip, 0.0, s)
-            largest = max(largest, float(np.max(np.abs(s))))
-            # A <- G A G^T and O <- G O; G is the identity off the paired indices
-            G = eye.copy()
-            G.ravel()[put] = np.concatenate([c, c, s, -s])
-            A = G @ A @ G.T
-            O = G @ O
-        if largest <= sin_tol:
+    while True:
+        K = _pair_angles(A)
+        if np.max(np.abs(K)) <= tol:
             converged = True
             break
-        # Rotations in degenerate (flat) subspaces stay finite while the
-        # objective is already stationary; stop once a full sweep no longer
-        # reduces the off-diagonal norm meaningfully.
-        cur_off2 = _off2(A)
-        if prev_off2 - cur_off2 <= 1e-12 * max(prev_off2, scale**2 * 1e-30):
-            converged = True
+        if sweeps == max_sweeps:
             break
-        prev_off2 = cur_off2
+        G = np.linalg.solve(eye - 0.5 * K, eye + 0.5 * K)
+        A = G @ A @ G.T
+        O = G @ O
+        sweeps += 1
 
-    offdiag = A - np.stack([np.diag(np.diag(A[a])) for a in range(d)])
+    positions = np.diagonal(A, axis1=1, axis2=2).T.copy()  # (N, d)
+    offdiag = A - positions.T[:, :, None] * eye
     residual = float(np.sqrt(np.sum(offdiag * offdiag)))
-    positions = np.stack([np.diag(A[a]) for a in range(d)], axis=1)  # (N, d)
 
     order = np.lexsort(positions.T[::-1])  # lexicographic by (x_1, x_2, ...)
     positions = positions[order]

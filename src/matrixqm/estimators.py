@@ -25,8 +25,10 @@ class EigenTrajectory:
 
     positions has shape (T, N, d); residuals is the per-frame joint
     diagonalization off-diagonal norm, converged its per-frame convergence
-    flag and sweeps its per-frame Jacobi sweep count (zeros, all True and
-    zeros for synthetic data).
+    flag, sweeps its per-frame Jacobi iteration count and ambiguous whether
+    the step into each frame was an ambiguous match (see track_particles;
+    False at frame 0).  For synthetic data they default to zeros, all True,
+    zeros and all False.
     """
 
     times: np.ndarray
@@ -35,6 +37,7 @@ class EigenTrajectory:
     replica_id: int = 0
     converged: np.ndarray | None = None
     sweeps: np.ndarray | None = None
+    ambiguous: np.ndarray | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -49,6 +52,8 @@ class EigenTrajectory:
             self.converged = np.ones(len(self.times), dtype=bool)
         if self.sweeps is None:
             self.sweeps = np.zeros(len(self.times), dtype=int)
+        if self.ambiguous is None:
+            self.ambiguous = np.zeros(len(self.times), dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -121,26 +126,69 @@ class ScalingPoint:
     irrot_residual: float = 0.0
     mean_frame_residual: float = 0.0
     nonconverged_frames: int = 0  # Jacobi frames that hit max_sweeps, over all replicas
-    mean_frame_sweeps: float = 0.0  # Jacobi sweeps per frame
+    ambiguous_steps: int = 0  # ambiguous tracking steps (see track_particles), over all replicas
+    mean_frame_sweeps: float = 0.0  # all-pairs Jacobi iterations per frame
 
 
 # ---------------------------------------------------------------------------
 # particle tracking
 
 
+def _assign(cost: np.ndarray) -> np.ndarray:
+    """Columns p of the (n, n) cost matrix minimizing sum_i cost[i, p(i)].
+
+    Exact assignment by shortest augmenting paths with row and column
+    potentials (the Hungarian method in the form of Jonker & Volgenant,
+    Computing 38, 1987).  Each row is added by a Dijkstra search over the
+    columns, one vectorized step per column it settles; tracking costs are
+    close to the identity, so most rows reach a free column in one step.
+    """
+    n = len(cost)
+    u, v = np.zeros(n), np.zeros(n)  # row and column potentials
+    row_of = np.full(n, -1)  # row assigned to each column
+    col_of = np.full(n, -1)  # column assigned to each row
+    for start in range(n):
+        dist = np.full(n, np.inf)  # reduced length of the shortest path to each column
+        via = np.zeros(n, dtype=int)  # the row before each column on that path
+        settled = np.zeros(n, dtype=bool)
+        rows = [start]
+        i, base = start, 0.0
+        while True:
+            reach = base + cost[i] - u[i] - v
+            better = ~settled & (reach < dist)
+            dist[better] = reach[better]
+            via[better] = i
+            j = int(np.argmin(np.where(settled, np.inf, dist)))
+            base = dist[j]
+            settled[j] = True
+            if row_of[j] < 0:
+                break
+            i = row_of[j]
+            rows.append(i)
+        u[start] += base
+        u[rows[1:]] += base - dist[col_of[rows[1:]]]
+        v[settled] -= base - dist[settled]
+        while True:  # augment along the path back to start
+            i = via[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == start:
+                break
+    return col_of
+
+
 def _match(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
     """Permutation p minimizing sum |prev_i - cur_{p(i)}|^2."""
-    # Imported here: tracking is the only scipy user, and the import
-    # costs every other command most of its start-up time.
-    from scipy.optimize import linear_sum_assignment
-
-    d2 = np.sum((prev[:, None, :] - cur[None, :, :]) ** 2, axis=2)
-    _, cols = linear_sum_assignment(d2)
-    return cols
+    return _assign(np.sum((prev[:, None, :] - cur[None, :, :]) ** 2, axis=2))
 
 
 def track_particles(frames: list, times) -> EigenTrajectory:
-    """Chain frame-to-frame minimum-displacement assignments into trajectories."""
+    """Chain frame-to-frame minimum-displacement assignments into trajectories.
+
+    A step is flagged ambiguous when some particle's matched displacement
+    exceeds half the distance to its nearest neighbour in the previous
+    frame: there the minimum-displacement match may have swapped identities.
+    """
     if not frames:
         raise ValueError("no frames")
     n = frames[0].positions.shape[0]
@@ -150,12 +198,18 @@ def track_particles(frames: list, times) -> EigenTrajectory:
             raise ValueError("particle count changes between frames")
         p = _match(out[-1], fr.positions)
         out.append(fr.positions[p])
+    positions = np.stack(out)
+    step = np.linalg.norm(positions[1:] - positions[:-1], axis=2)  # (T-1, N)
+    gap = np.linalg.norm(positions[:-1, :, None] - positions[:-1, None, :], axis=3)
+    gap[:, np.arange(n), np.arange(n)] = np.inf
+    ambiguous = np.any(step > 0.5 * gap.min(axis=2), axis=1)
     return EigenTrajectory(
         times=np.asarray(times, dtype=float),
-        positions=np.stack(out),
+        positions=positions,
         residuals=np.array([fr.residual for fr in frames]),
         converged=np.array([fr.converged for fr in frames]),
         sweeps=np.array([fr.sweeps for fr in frames]),
+        ambiguous=np.concatenate([[False], ambiguous]),
     )
 
 
@@ -541,6 +595,7 @@ def scaling_sweep(
             irrot_residual=irrot,
             mean_frame_residual=float(np.mean([np.mean(tr.residuals) for tr in trajectories])),
             nonconverged_frames=int(sum(np.sum(~tr.converged) for tr in trajectories)),
+            ambiguous_steps=int(sum(np.sum(tr.ambiguous) for tr in trajectories)),
             mean_frame_sweeps=float(np.mean([np.mean(tr.sweeps) for tr in trajectories])),
         ))
     return points

@@ -215,8 +215,9 @@ def _fmt(x: float) -> str:
 
 def record_to_csv(record: TrajectoryRecord) -> str:
     """Fixed column order: time, K, U, momenta, per-direction eigenvalues,
-    then (if frames were recorded) particle positions, the frame residual and
-    whether its Jacobi iteration converged (1) or hit its sweep cap (0)."""
+    then (if frames were recorded) particle positions, the frame residual,
+    whether its Jacobi iteration converged (1) or hit its iteration cap (0),
+    and its number of Jacobi iterations."""
     d = record.com_momenta.shape[1]
     N = record.spectra[0].lam.shape[1]
     cols = ["time", "K", "U"]
@@ -225,7 +226,7 @@ def record_to_csv(record: TrajectoryRecord) -> str:
     with_frames = record.frames is not None
     if with_frames:
         cols += [f"pos_{i}_{a}" for i in range(N) for a in range(d)]
-        cols += ["jd_residual", "jd_converged"]
+        cols += ["jd_residual", "jd_converged", "jd_sweeps"]
     lines = [",".join(cols)]
     for idx in range(len(record.times)):
         row = [record.times[idx], record.energies[idx, 0], record.energies[idx, 1]]
@@ -234,7 +235,7 @@ def record_to_csv(record: TrajectoryRecord) -> str:
         if with_frames:
             fr = record.frames[idx]
             row += list(fr.positions.ravel())
-            row += [fr.residual, int(fr.converged)]
+            row += [fr.residual, int(fr.converged), fr.sweeps]
         lines.append(",".join(_fmt(x) for x in row))
     return "\n".join(lines) + "\n"
 
@@ -265,8 +266,8 @@ def load_record_csv(text: str) -> dict:
 
 SWEEP_COLUMNS = [
     "N", "T", "t_scaled", "nu_hat", "nu_stderr", "nu_pred", "hbar_emergent",
-    "irrot_residual", "mean_frame_residual", "nonconverged_frames", "mean_frame_sweeps",
-    "pair_sum", "nu_convention",
+    "irrot_residual", "mean_frame_residual", "nonconverged_frames", "ambiguous_steps",
+    "mean_frame_sweeps", "pair_sum", "nu_convention",
 ]
 
 
@@ -276,7 +277,8 @@ def sweep_to_csv(points, pair_sum: str, nu_convention: str) -> str:
         row = [
             str(p.N), _fmt(p.T), _fmt(p.t_scaled), _fmt(p.nu_hat), _fmt(p.nu_stderr),
             _fmt(p.nu_pred), _fmt(p.hbar_emergent), _fmt(p.irrot_residual),
-            _fmt(p.mean_frame_residual), str(p.nonconverged_frames), _fmt(p.mean_frame_sweeps),
+            _fmt(p.mean_frame_residual), str(p.nonconverged_frames), str(p.ambiguous_steps),
+            _fmt(p.mean_frame_sweeps),
             pair_sum, nu_convention,
         ]
         lines.append(",".join(row))

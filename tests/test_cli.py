@@ -340,16 +340,21 @@ class TestCompare:
         main(["oracle", "--config", orc_cfg, "--out", out])
         record = os.path.join(out, "record_000.csv")
         rows = [ln.split(",") for ln in open(record).read().splitlines()]
-        assert rows[0][-2:] == ["jd_residual", "jd_converged"]
-        old = os.path.join(tmp_path, "old_record.csv")
-        with open(old, "w") as fh:
-            fh.write("".join(",".join(r[:-1]) + "\n" for r in rows))
+        assert rows[0][-3:] == ["jd_residual", "jd_converged", "jd_sweeps"]
+        # Older records end before jd_sweeps, or before jd_converged.
+        trajs = [record]
+        for drop in (1, 2):
+            old = os.path.join(tmp_path, f"old_record_{drop}.csv")
+            with open(old, "w") as fh:
+                fh.write("".join(",".join(r[:-drop]) + "\n" for r in rows))
+            trajs.append(old)
         verdicts = []
-        for traj, sub in ((record, "new"), (old, "old")):
-            assert main(["compare", "--config", cfg, "--out", os.path.join(tmp_path, sub),
+        for k, traj in enumerate(trajs):
+            sub = os.path.join(tmp_path, f"cmp_{k}")
+            assert main(["compare", "--config", cfg, "--out", sub,
                          traj, os.path.join(out, "oracle_psi.csv")]) == EXIT_OK
-            verdicts.append(open(os.path.join(tmp_path, sub, "compare_verdict.json")).read())
-        assert verdicts[0] == verdicts[1]
+            verdicts.append(open(os.path.join(sub, "compare_verdict.json")).read())
+        assert verdicts[0] == verdicts[1] == verdicts[2]
 
 
 class TestCalibrate:
@@ -365,9 +370,9 @@ class TestCalibrate:
         assert rep["irrotationality"]["rotation_field_residual"] > 0.5
 
 
-# Every command but sweep must start without scipy: importing it costs most of
-# a short command's start-up.  Runs in a fresh interpreter, since this one has
-# already imported scipy.
+# No command may load scipy: the runtime needs only numpy, and importing scipy
+# costs more than most commands' own work.  Runs in a fresh interpreter, since
+# this one has already imported scipy.
 SCIPY_GUARD = """
 import json, sys
 from matrixqm.cli import main
@@ -383,7 +388,7 @@ print(json.dumps(loaded))
 """
 
 
-def test_scipy_loaded_only_by_tracking(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     out = str(tmp_path / "out")
     sim = write_config(tmp_path, {**BASE_CONFIG, "integrator": {
         **BASE_CONFIG["integrator"], "steps": 20}}, "sim.json")
@@ -406,6 +411,5 @@ def test_scipy_loaded_only_by_tracking(tmp_path):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
-    for step in ("import", "simulate", "oracle", "compare", "calibrate"):
+    for step in ("import", "simulate", "oracle", "compare", "calibrate", "sweep"):
         assert loaded[step] == [], step
-    assert "scipy.optimize" in loaded["sweep"]

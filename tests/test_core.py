@@ -377,7 +377,32 @@ class TestJointDiagonalization:
         assert fr2.residual == pytest.approx(fr.residual, rel=1e-6)
 
 
-# (N, d, seed); odd N exercises the bye slot of the round-robin schedule.
+def thermal_frame(N=16, seed=3):
+    """A d = 2 configuration after a Langevin burn-in on the t = 0.1 line."""
+    from matrixqm.dynamics import LANGEVIN, IntegratorConfig, run
+
+    p = ModelParams(d=2, N=N)
+    integ = IntegratorConfig(mode=LANGEVIN, dt=0.02, steps=200, gamma=0.5,
+                             temperature=0.8 / N, record_every=200)
+    return run([random_config(p, 0.3, seed)], p, integ, [seed])[0].final_config
+
+
+class TestJacobiStoppingRule:
+    def test_warm_start_from_converged_frame_runs_no_iteration(self):
+        cfg = thermal_frame()
+        cold = joint_diagonalize(cfg)
+        assert cold.converged and cold.sweeps > 0
+        warm = joint_diagonalize(cfg, initial_frame=cold.frame)
+        assert warm.converged and warm.sweeps == 0
+        assert np.max(np.abs(warm.positions - cold.positions)) < 1e-12
+        assert warm.residual == pytest.approx(cold.residual, rel=1e-12)
+
+    def test_iteration_cap_on_thermal_frame(self):
+        capped = joint_diagonalize(thermal_frame(), max_sweeps=1)
+        assert capped.sweeps == 1 and not capped.converged
+
+
+# (N, d, seed), odd and even N.
 JD_CASES = st.tuples(st.integers(2, 12), st.sampled_from([1, 2, 3]), st.integers(0, 2**32 - 1))
 
 

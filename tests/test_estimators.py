@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
-from matrixqm.core import ModelParams
+from matrixqm.core import ModelParams, ParticleFrame
 from matrixqm.estimators import (
     EigenTrajectory,
     FieldEstimate,
@@ -21,7 +24,7 @@ from matrixqm.estimators import (
     temperature_for_scaled,
     track_particles,
 )
-from matrixqm.estimators import _match
+from matrixqm.estimators import _assign, _match
 
 
 def brownian_trajectories(nu, R, T, dt, seed, x0=None):
@@ -111,6 +114,64 @@ class TestTracking:
         p = _match(base, base + [0.9, 0.0])
         assert len(base) == 66
         assert np.array_equal(p, np.arange(66))
+
+    def test_ambiguous_steps_flag_a_jump_past_a_neighbour(self):
+        # Particles at x = 0, 1, 3.  In the second frame the one at 0 jumps
+        # to 1.2, past its neighbour, which moves to 0.9.  The minimum-
+        # displacement match swaps their labels, and its move of 0 -> 0.9
+        # exceeds half the nearest-neighbour distance (0.5).  The third frame
+        # moves every particle by 0.05, less than half of the 0.3 gap.
+        xs = [[0.0, 1.0, 3.0], [0.9, 1.2, 3.0], [0.95, 1.25, 3.05]]
+        frames = [ParticleFrame(positions=np.array(x)[:, None], residual=0.0,
+                                frame=np.eye(3)) for x in xs]
+        trajs = track_particles(frames, np.arange(3.0))
+        assert trajs.ambiguous.tolist() == [False, True, False]
+        assert np.array_equal(trajs.positions[1, :, 0], [0.9, 1.2, 3.0])
+
+    def test_no_ambiguous_steps_for_small_moves(self):
+        rng = np.random.default_rng(12)
+        base = np.sort(rng.uniform(0, 10, size=(12, 2)), axis=0)
+        frames = [ParticleFrame(positions=base + 1e-3 * rng.normal(size=base.shape),
+                                residual=0.0, frame=np.eye(12)) for _ in range(5)]
+        trajs = track_particles(frames, np.arange(5.0))
+        assert not trajs.ambiguous.any()
+
+
+def total(cost, cols):
+    return cost[np.arange(len(cost)), cols].sum()
+
+
+class TestAssignmentProperties:
+    """_assign and _match against scipy's linear_sum_assignment."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40), st.sampled_from([2, 5, 1000]), st.integers(0, 2**32 - 1))
+    def test_integer_costs_optimal(self, n, top, seed):
+        # Small ranges give many tied optima; integer totals are exact.
+        cost = np.random.default_rng(seed).integers(0, top, size=(n, n)).astype(float)
+        cols = _assign(cost)
+        assert sorted(cols) == list(range(n))
+        rows, ref = linear_sum_assignment(cost)
+        assert total(cost, cols) == total(cost, ref)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_real_costs_optimal(self, n, seed):
+        cost = np.random.default_rng(seed).exponential(size=(n, n))
+        cols = _assign(cost)
+        assert sorted(cols) == list(range(n))
+        assert total(cost, cols) == total(cost, linear_sum_assignment(cost)[1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.sampled_from([1, 2, 3]), st.floats(0.01, 2.0),
+           st.integers(0, 2**32 - 1))
+    def test_shuffled_jittered_points_match_scipy(self, n, d, jitter, seed):
+        # Continuous random points: the optimal permutation is unique.
+        rng = np.random.default_rng(seed)
+        prev = rng.normal(size=(n, d))
+        cur = (prev + jitter * rng.normal(size=(n, d)))[rng.permutation(n)]
+        cost = np.sum((prev[:, None, :] - cur[None, :, :]) ** 2, axis=2)
+        assert np.array_equal(_match(prev, cur), linear_sum_assignment(cost)[1])
 
 
 class TestDensity:

@@ -189,10 +189,11 @@ class TestCsv:
             ["time", "K", "U", "p_0", "p_1"]
             + [f"lam_{a}_{i}" for a in range(2) for i in range(3)]
             + [f"pos_{i}_{a}" for i in range(3) for a in range(2)]
-            + ["jd_residual", "jd_converged"])
+            + ["jd_residual", "jd_converged", "jd_sweeps"])
         cols = load_record_csv(text)
         assert np.all(cols["jd_residual"] >= 0)
         assert np.array_equal(cols["jd_converged"], [float(fr.converged) for fr in rec.frames])
+        assert np.array_equal(cols["jd_sweeps"], [float(fr.sweeps) for fr in rec.frames])
 
     def test_no_frame_columns_without_frames(self):
         header = record_to_csv(self.make_record()).splitlines()[0].split(",")
@@ -213,7 +214,8 @@ class TestCsv:
         text = sweep_to_csv([], "unordered_pairs", "both")
         assert text.splitlines()[0] == (
             "N,T,t_scaled,nu_hat,nu_stderr,nu_pred,hbar_emergent,irrot_residual,"
-            "mean_frame_residual,nonconverged_frames,mean_frame_sweeps,pair_sum,nu_convention"
+            "mean_frame_residual,nonconverged_frames,ambiguous_steps,mean_frame_sweeps,pair_sum,"
+            "nu_convention"
         )
 
     def test_wavefunction_round_trip(self):
