@@ -256,7 +256,10 @@ def _pair_angles(A: np.ndarray) -> np.ndarray:
     g12 = np.add.reduce(ton * toff, axis=0)
     g22 = np.add.reduce(toff * toff, axis=0)
     diff, two12 = g11 - g22, 2.0 * g12
-    K = np.triu(0.5 * np.arctan2(two12, diff + np.hypot(diff, two12)), 1)
+    # np.triu(theta, 1) is where(tri(N), 0, theta), and tri(N) is the
+    # transposed upper mask: this keeps its bits without a new mask each call.
+    theta = 0.5 * np.arctan2(two12, diff + np.hypot(diff, two12))
+    K = np.where(_upper_mask(theta.shape[-1]).T, 0.0, theta)
     return K - K.T
 
 

@@ -1,7 +1,7 @@
 """Independent quantum-mechanics reference: Schrödinger solver + Nelson SDE.
 
 A 1D norm-preserving split-step Fourier solver on periodic grids, the
-wavefunction <-> (rho, S) constructions, and an Euler-Maruyama walker
+wavefunction -> (rho, S) decomposition, and an Euler-Maruyama walker
 simulator whose drift is b = v + u with mass*v = dS/dx and
 u = nu * d(ln rho)/dx.  Used to calibrate the estimator pipeline and to
 compare against matrix-model eigenvalue statistics under the emergent hbar.
@@ -61,7 +61,7 @@ class MadelungPair:
     rho: np.ndarray
     S: np.ndarray
     hbar: float
-    mask: np.ndarray | None = None
+    mask: np.ndarray  # False where rho is too small to carry a phase
 
 
 @dataclass
@@ -124,10 +124,14 @@ def _evolve_split_step(wf: WaveFunction, V: np.ndarray, dt: float, steps: int) -
     half_v = np.exp(-0.5j * V * dt / wf.hbar)
     kin = np.exp(-0.5j * wf.hbar * k**2 * dt / wf.mass)
     psi = wf.psi.copy()
+    # In place, with the operands in the order of psi = half_v * psi etc.:
+    # the products then round exactly as the out-of-place expressions do.
     for _ in range(steps):
-        psi = half_v * psi
-        psi = np.fft.ifft(kin * np.fft.fft(psi))
-        psi = half_v * psi
+        np.multiply(half_v, psi, out=psi)
+        np.fft.fft(psi, out=psi)
+        np.multiply(kin, psi, out=psi)
+        np.fft.ifft(psi, out=psi)
+        np.multiply(half_v, psi, out=psi)
     return psi
 
 
@@ -141,18 +145,6 @@ def evolve_schrodinger(wf: WaveFunction, V, dt: float, steps: int) -> WaveFuncti
     _check_timestep(wf, V, dt)
     psi = _evolve_split_step(wf, V, dt, steps)
     return WaveFunction(wf.x, psi, wf.hbar, wf.mass, wf.time + steps * dt)
-
-
-def build_wavefunction(m: MadelungPair, mass: float = 1.0) -> WaveFunction:
-    """psi = sqrt(rho) exp(i S / hbar), normalized."""
-    rho = np.asarray(m.rho, dtype=float)
-    if np.any(rho < 0):
-        raise ValueError("rho must be >= 0")
-    # A masked decomposition carries no phase information at nodes/tails
-    # (S is NaN there); any finite stand-in works since rho is negligible.
-    S = np.where(np.isfinite(m.S), m.S, 0.0)
-    psi = np.sqrt(rho) * np.exp(1j * S / m.hbar)
-    return WaveFunction(m.x, psi, m.hbar, mass).normalized()
 
 
 def madelung_decompose(wf: WaveFunction, rho_floor_frac: float = 1e-8) -> MadelungPair:
@@ -248,22 +240,48 @@ def compare_densities(rho_a, rho_b, metric: str = "L1", h: float | None = None) 
     raise ValueError(f"unknown metric {metric!r}")
 
 
-# Grid rows per block in walker_density: its temporaries are this many rows
-# by len(walkers), not len(grid_x) by len(walkers).
-KDE_BLOCK_ROWS = 64
+# walker_density works on KDE_BLOCK_ROWS grid rows at a time, in one reused
+# buffer of KDE_BLOCK_ROWS x len(walkers) floats that stays in cache.
+KDE_BLOCK_ROWS = 8
+# numpy's SIMD exp leaves its fast path for arguments below about -708, where
+# the result is subnormal or 0, and each such element costs 5-35x a normal
+# one.  Far from the walkers most kernel entries are there, so exp runs on the
+# arguments clamped at KDE_EXP_FLOOR; the clamped entries are then set to 0,
+# and those in [KDE_EXP_ZERO, KDE_EXP_FLOOR) are recomputed by np.exp itself.
+# np.exp is exactly 0 below about -745.13, so every entry keeps the bits np.exp
+# gives it, and no bit of the density changes.
+KDE_EXP_FLOOR = -700.0
+KDE_EXP_ZERO = -746.0
 
 
 def walker_density(walkers: np.ndarray, grid_x: np.ndarray, bandwidth: float) -> np.ndarray:
     """Gaussian KDE of walker positions on grid_x, normalized on the grid.
 
-    Each grid point's sum still runs over the whole walker axis, so the
-    blocking leaves every bit of the result as the one-block formula gives it.
+    Bitwise equal to the one-block formula
+    exp(-0.5 * (grid_x[:, None] - walkers[None, :]) ** 2 / bandwidth**2).sum(axis=1)
+    normalized: the same ufuncs run in place in the same order, every kernel
+    entry is np.exp of the same argument (see KDE_EXP_FLOOR), and each grid
+    point's sum still runs over the whole walker axis in walker order.
     """
     h = grid_x[1] - grid_x[0]
     walkers = np.asarray(walkers)
-    rho = np.concatenate([
-        np.exp(-0.5 * (grid_x[i:i + KDE_BLOCK_ROWS, None] - walkers[None, :]) ** 2
-               / bandwidth**2).sum(axis=1)
-        for i in range(0, len(grid_x), KDE_BLOCK_ROWS)
-    ])
+    bw2 = bandwidth**2
+    rho = np.empty(len(grid_x))
+    buf = np.empty((KDE_BLOCK_ROWS, len(walkers)))
+    for i in range(0, len(grid_x), KDE_BLOCK_ROWS):
+        rows = grid_x[i:i + KDE_BLOCK_ROWS, None]
+        a = buf[:len(rows)]
+        np.subtract(rows, walkers, out=a)
+        np.square(a, out=a)
+        np.multiply(-0.5, a, out=a)
+        np.divide(a, bw2, out=a)
+        flat = a.reshape(-1)
+        keep = flat >= KDE_EXP_FLOOR
+        band = np.flatnonzero(~keep & (flat >= KDE_EXP_ZERO))
+        tail = flat[band]
+        np.maximum(flat, KDE_EXP_FLOOR, out=flat)
+        np.exp(flat, out=flat)
+        np.multiply(flat, keep, out=flat)
+        flat[band] = np.exp(tail)
+        rho[i:i + len(a)] = a.sum(axis=1)
     return rho / (rho.sum() * h)

@@ -5,14 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matrixqm.cli import EXIT_OK, main
 from matrixqm.oracle import (
     KDE_BLOCK_ROWS,
-    MadelungPair,
     NelsonEnsemble,
     WaveFunction,
-    build_wavefunction,
     compare_densities,
     evolve_schrodinger,
     free_packet_width,
@@ -29,6 +29,18 @@ HBAR, MASS = 1.0, 1.0
 
 def periodic_grid(L=40.0, n=512):
     return np.linspace(-L / 2, L / 2, n, endpoint=False)
+
+
+def bits(a):
+    """The raw IEEE-754 bits (float or complex), so equality tells 0.0 from -0.0."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def dense_density(walkers, x, bw):
+    """walker_density as one dense grid x walkers array."""
+    d2 = (x[:, None] - walkers[None, :]) ** 2
+    dense = np.exp(-0.5 * d2 / bw**2).sum(axis=1)
+    return dense / (dense.sum() * (x[1] - x[0]))
 
 
 @pytest.fixture(autouse=True)
@@ -104,13 +116,33 @@ class TestSchrodinger:
         mean = np.sum(x * out.density()) * out.h
         assert mean == pytest.approx(-shift, abs=5e-3)
 
+    @pytest.mark.parametrize("omega0", [0.0, 1.0])
+    def test_split_step_bitwise_equal_to_out_of_place_loop(self, omega0):
+        x = periodic_grid()
+        wf = gaussian_packet(x, 0.3, 1.0, 0.7, HBAR, MASS)
+        V = 0.5 * MASS * omega0**2 * x**2
+        dt, steps = 1e-3, 200
+        k = 2.0 * np.pi * np.fft.fftfreq(len(x), d=wf.h)
+        half_v = np.exp(-0.5j * V * dt / HBAR)
+        kin = np.exp(-0.5j * HBAR * k**2 * dt / MASS)
+        psi0 = wf.psi.copy()
+        psi = wf.psi
+        for _ in range(steps):
+            psi = half_v * psi
+            psi = np.fft.ifft(kin * np.fft.fft(psi))
+            psi = half_v * psi
+        out = evolve_schrodinger(wf, V, dt, steps)
+        assert np.array_equal(bits(out.psi), bits(psi))
+        assert np.array_equal(bits(wf.psi), bits(psi0))  # input kept
+
 
 class TestMadelung:
     def test_round_trip(self):
         x = periodic_grid()
         wf = gaussian_packet(x, 0.5, 1.2, 0.7, HBAR, MASS)
         md = madelung_decompose(wf)
-        back = build_wavefunction(md, MASS)
+        S = np.where(np.isfinite(md.S), md.S, 0.0)
+        back = WaveFunction(x, np.sqrt(md.rho) * np.exp(1j * S / HBAR), HBAR, MASS).normalized()
         # The reconstruction can differ by a global phase; compare densities
         # and the phase differences on the occupied region.
         assert np.max(np.abs(back.density() - wf.density())) < 1e-12
@@ -122,8 +154,8 @@ class TestMadelung:
         x = periodic_grid()
         p0 = 1.7
         rho = np.full_like(x, 1.0 / (x[-1] - x[0] + (x[1] - x[0])))
-        md = MadelungPair(x=x, rho=rho, S=p0 * x, hbar=HBAR)
-        back = madelung_decompose(build_wavefunction(md, MASS))
+        psi = np.sqrt(rho) * np.exp(1j * p0 * x / HBAR)
+        back = madelung_decompose(WaveFunction(x, psi, HBAR, MASS).normalized())
         slope = np.polyfit(x[back.mask], back.S[back.mask], 1)[0]
         assert slope == pytest.approx(p0, rel=1e-10)
 
@@ -135,13 +167,6 @@ class TestMadelung:
         assert not md.mask[node]
         assert np.isnan(md.S[node])
         assert md.mask.sum() > 50  # occupied region kept
-
-    def test_negative_density_rejected(self):
-        x = periodic_grid()
-        md = MadelungPair(x=x, rho=np.full_like(x, -1.0), S=np.zeros_like(x),
-                          hbar=HBAR)
-        with pytest.raises(ValueError):
-            build_wavefunction(md, MASS)
 
 
 class TestNelson:
@@ -255,6 +280,50 @@ class TestComparisons:
         dense = np.exp(-0.5 * d2 / 0.3**2).sum(axis=1)
         dense = dense / (dense.sum() * (x[1] - x[0]))
         assert np.array_equal(walker_density(walkers, x, 0.3), dense)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_walkers=st.integers(1, 3000),
+        blocks=st.integers(1, 20),
+        rem=st.integers(1, KDE_BLOCK_ROWS - 1),
+        bw=st.floats(0.01, 3.0),
+        spread=st.floats(0.0, 3.0),  # walker sd, in bandwidths
+        half_width=st.floats(1.0, 60.0),  # grid half-width, in bandwidths
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_walker_density_bitwise_dense(self, n_walkers, blocks, rem, bw, spread,
+                                          half_width, seed):
+        # Half-widths past ~38.6 bandwidths reach rows whose kernel entries
+        # are all subnormal or all 0; the grid length is never a whole number
+        # of blocks.
+        walkers = np.random.default_rng(seed).normal(0.0, spread * bw, n_walkers)
+        x = np.linspace(-half_width * bw, half_width * bw, blocks * KDE_BLOCK_ROWS + rem,
+                        endpoint=False)
+        assert np.array_equal(bits(walker_density(walkers, x, bw)),
+                              bits(dense_density(walkers, x, bw)))
+
+    def test_walker_density_subnormal_rows(self):
+        # Kernel arguments -2 d^2 with d in [18.9, 19.1] give subnormal
+        # entries only; past 19.31 every entry is 0.
+        bw = 0.5
+        walkers = np.random.default_rng(13).uniform(-0.08, 0.08, 500)
+        x = np.linspace(-25.0, 25.0, 201, endpoint=False)
+        k = np.exp(-0.5 * (x[:, None] - walkers[None, :]) ** 2 / bw**2)
+        subnormal = (k > 0) & (k < np.finfo(float).tiny)
+        assert subnormal.all(axis=1).any()
+        assert (k == 0).all(axis=1).any()
+        assert np.array_equal(bits(walker_density(walkers, x, bw)),
+                              bits(dense_density(walkers, x, bw)))
+
+    def test_walker_density_smallest_subnormal(self):
+        # One walker on a fine grid: the kernel takes every value down to the
+        # smallest subnormal, which exp gives just above -745.13, and then 0.
+        x = np.arange(0.0, 40.0, 1e-3)
+        k = np.exp(-0.5 * x**2)
+        assert (k == np.nextafter(0.0, 1.0)).any() and (k == 0).any()
+        walkers = np.zeros(1)
+        assert np.array_equal(bits(walker_density(walkers, x, 1.0)),
+                              bits(dense_density(walkers, x, 1.0)))
 
 
 def test_timestep_warning_fires():
