@@ -1,7 +1,11 @@
 """Command-line front-end: simulate / sweep / oracle / compare / calibrate.
 
-Exit codes: 0 success, 1 usage or config error, 2 numeric abort (NaN/Inf),
-3 I/O failure.  The output directory can be overridden with the
+Each `cmd_*` returns its artifacts as {file name: text or JSON document}, in
+write order.  `main` alone writes them and maps failures to exit codes, so no
+command writes a file before it has computed all of its outputs.
+
+Exit codes: 0 success, 1 usage, config or input-file error, 2 numeric abort
+(NaN/Inf), 3 I/O failure.  The output directory can be overridden with the
 MATRIXQM_OUT environment variable.
 """
 
@@ -62,6 +66,10 @@ EXIT_NUMERIC = 2
 EXIT_IO = 3
 
 
+class InputError(Exception):
+    """An input file of `compare` that does not parse; the message starts with its path."""
+
+
 def _out_dir(cfg, args) -> str:
     if os.environ.get("MATRIXQM_OUT"):
         return os.environ["MATRIXQM_OUT"]
@@ -75,23 +83,16 @@ def _load_config(args):
         with open(args.config) as fh:
             text = fh.read()
     except OSError as e:
-        print(f"error: cannot read config: {e}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
+        raise OSError(f"cannot read config: {e}") from e
+    cfg = parse_config(text)
     overrides = {"master_seed": args.seed, "replicas": getattr(args, "replicas", None)}
-    try:
-        cfg = parse_config(text)
-        cfg.ensemble = fill_section(
-            cfg.ensemble, {k: v for k, v in overrides.items() if v is not None}, "ensemble"
-        )
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+    cfg.ensemble = fill_section(
+        cfg.ensemble, {k: v for k, v in overrides.items() if v is not None}, "ensemble"
+    )
     return cfg
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(cfg, args)
+def cmd_simulate(cfg, args) -> dict:
     t0 = time.monotonic()
     seeds = [
         {"replica": r,
@@ -100,53 +101,27 @@ def cmd_simulate(args) -> int:
         for r in range(cfg.ensemble.replicas)
     ]
     configs = [random_config(cfg.model, cfg.ensemble.spread, s["init"]) for s in seeds]
-    try:
-        records = run(configs, cfg.model, cfg.integrator, [s["dynamics"] for s in seeds])
-    except NumericsError as e:
-        print(f"numeric abort: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
-    manifest = build_manifest(cfg, seeds, time.monotonic() - t0)
-    try:
-        for r, record in enumerate(records):
-            atomic_write_text(os.path.join(out, f"record_{r:03d}.csv"), record_to_csv(record))
-        atomic_write_text(os.path.join(out, "manifest.json"),
-                          json.dumps(manifest, indent=2, sort_keys=True))
-    except OSError as e:
-        print(f"i/o error: {e}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
+    records = run(configs, cfg.model, cfg.integrator, [s["dynamics"] for s in seeds])
+    artifacts = {f"record_{r:03d}.csv": record_to_csv(record)
+                 for r, record in enumerate(records)}
+    artifacts["manifest.json"] = build_manifest(cfg, seeds, time.monotonic() - t0)
+    return artifacts
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load_config(args)
+def cmd_sweep(cfg, args) -> dict:
     if cfg.model.d < 2:
-        print("config error: sweep: scaling formulas require model.d >= 2 (singular at d = 1)",
-              file=sys.stderr)
-        return EXIT_USAGE
-    out = _out_dir(cfg, args)
+        raise ConfigError("sweep: scaling formulas require model.d >= 2 (singular at d = 1)")
     t0 = time.monotonic()
-    try:
-        points = scaling_sweep(cfg.model, cfg.sweep, cfg.ensemble.master_seed)
-    except NumericsError as e:
-        print(f"numeric abort: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
-    try:
-        atomic_write_text(
-            os.path.join(out, "sweep.csv"),
-            sweep_to_csv(points, cfg.model.pair_sum, cfg.oracle.nu_convention),
-        )
-        seeds = [{"N": N, "replica": r, **sweep_seeds(cfg.ensemble.master_seed, N, r)}
-                 for N in cfg.sweep.N_list for r in range(cfg.sweep.replicas)]
-        manifest = build_manifest(cfg, seeds, time.monotonic() - t0)
-        atomic_write_text(os.path.join(out, "sweep_manifest.json"),
-                          json.dumps(manifest, indent=2, sort_keys=True))
-    except OSError as e:
-        print(f"i/o error: {e}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
+    points = scaling_sweep(cfg.model, cfg.sweep, cfg.ensemble.master_seed)
+    seeds = [{"N": N, "replica": r, **sweep_seeds(cfg.ensemble.master_seed, N, r)}
+             for N in cfg.sweep.N_list for r in range(cfg.sweep.replicas)]
+    return {
+        "sweep.csv": sweep_to_csv(points, cfg.model.pair_sum, cfg.oracle.nu_convention),
+        "sweep_manifest.json": build_manifest(cfg, seeds, time.monotonic() - t0),
+    }
 
 
-def _oracle_report(cfg) -> tuple[dict, object]:
+def cmd_oracle(cfg, args) -> dict:
     o = cfg.oracle
     n = o.grid_points
     x = np.linspace(-o.extent / 2, o.extent / 2, n, endpoint=False)
@@ -213,25 +188,12 @@ def _oracle_report(cfg) -> tuple[dict, object]:
         "t_end": t_end,
         "conventions": conventions(cfg),
     }
-    return report, snaps[-1]
+    return {"oracle_report.json": report, "oracle_psi.csv": wavefunction_to_csv(snaps[-1])}
 
 
-def cmd_oracle(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(cfg, args)
-    report, wf_final = _oracle_report(cfg)
-    try:
-        atomic_write_text(os.path.join(out, "oracle_report.json"),
-                          json.dumps(report, indent=2, sort_keys=True))
-        atomic_write_text(os.path.join(out, "oracle_psi.csv"), wavefunction_to_csv(wf_final))
-    except OSError as e:
-        print(f"i/o error: {e}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
-
-
-def _trajectory_samples(columns: dict) -> tuple[np.ndarray, dict]:
-    """Final-time scalar samples + diagnostics from a record CSV's columns."""
+def _trajectory_samples(text: str) -> tuple[np.ndarray, dict]:
+    """Final-time scalar samples + diagnostics from a record CSV."""
+    columns = load_record_csv(text)
     diag = {}
     pos_cols = sorted(c for c in columns if c.startswith("pos_"))
     lam_cols = sorted(c for c in columns if c.startswith("lam_"))
@@ -246,79 +208,46 @@ def _trajectory_samples(columns: dict) -> tuple[np.ndarray, dict]:
     return samples, diag
 
 
-def _input_error(path: str, e: ValueError) -> int:
-    print(f"input error: {path}: {e}", file=sys.stderr)
-    return EXIT_USAGE
+def _parse_input(path: str, parse, text: str):
+    try:
+        return parse(text)
+    except ValueError as e:
+        raise InputError(f"{path}: {e}") from e
 
 
-def cmd_compare(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(cfg, args)
-    try:
-        with open(args.trajectory) as fh:
-            traj_text = fh.read()
-        with open(args.oracle_file) as fh:
-            oracle_text = fh.read()
-    except OSError as e:
-        print(f"i/o error: {e}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        x, psi = load_wavefunction_csv(oracle_text)
-    except ValueError as e:
-        return _input_error(args.oracle_file, e)
-    # Oracle-format input on both sides means a direct density comparison.
-    oracle_both = traj_text.startswith("x,")
-    try:
-        if oracle_both:
-            x_b, psi_b = load_wavefunction_csv(traj_text)
-            if len(x_b) != len(x):
-                raise ValueError(f"{len(x_b)} grid points, the oracle file has {len(x)}")
-        else:
-            samples, diag = _trajectory_samples(load_record_csv(traj_text))
-    except ValueError as e:
-        return _input_error(args.trajectory, e)
+def cmd_compare(cfg, args) -> dict:
+    with open(args.trajectory) as fh:
+        traj_text = fh.read()
+    with open(args.oracle_file) as fh:
+        oracle_text = fh.read()
+    x, psi = _parse_input(args.oracle_file, load_wavefunction_csv, oracle_text)
+    samples, diag = _parse_input(args.trajectory, _trajectory_samples, traj_text)
 
     h = x[1] - x[0]
     rho_oracle = np.abs(psi) ** 2
     rho_oracle = rho_oracle / (rho_oracle.sum() * h)
-
-    if oracle_both:
-        rho_b = np.abs(psi_b) ** 2
-        rho_b = rho_b / (rho_b.sum() * h)
-        verdict = {
-            "L1": compare_densities(rho_b, rho_oracle, "L1", h),
-            "KS": compare_densities(rho_b, rho_oracle, "KS", h),
-            "diagnostics": {},
-        }
-    else:
-        bw = cfg.analysis.bandwidth or silverman_bandwidth(samples)
-        rho_m = walker_density(samples, x, bw)
-        verdict = {
-            "L1": compare_densities(rho_m, rho_oracle, "L1", h),
-            "KS": compare_densities(rho_m, rho_oracle, "KS", h),
-            "bandwidth": bw,
-            "n_samples": int(len(samples)),
-            "diagnostics": diag,
-        }
-        # nu_hat / nu_pred ratio when the run admits the scaling formulas.
-        params = cfg.model
-        if params.d >= 2 and cfg.integrator.temperature > 0:
-            t_sc = scaled_temperature(params, cfg.integrator.temperature, params.N)
-            verdict["t_scaled"] = t_sc
-            verdict["nu_pred"] = predicted_diffusion(params, t_sc)
+    bw = cfg.analysis.bandwidth or silverman_bandwidth(samples)
+    rho_m = walker_density(samples, x, bw)
+    verdict = {
+        "L1": compare_densities(rho_m, rho_oracle, "L1", h),
+        "KS": compare_densities(rho_m, rho_oracle, "KS", h),
+        "bandwidth": bw,
+        "n_samples": int(len(samples)),
+        "diagnostics": diag,
+    }
+    # nu_hat / nu_pred ratio when the run admits the scaling formulas.
+    params = cfg.model
+    if params.d >= 2 and cfg.integrator.temperature > 0:
+        t_sc = scaled_temperature(params, cfg.integrator.temperature, params.N)
+        verdict["t_scaled"] = t_sc
+        verdict["nu_pred"] = predicted_diffusion(params, t_sc)
     verdict["conventions"] = conventions(cfg)
     verdict["note"] = "report only; no pass/fail is attached to the physics comparison"
-    try:
-        atomic_write_text(os.path.join(out, "compare_verdict.json"),
-                          json.dumps(verdict, indent=2, sort_keys=True))
-    except OSError as e:
-        print(f"i/o error: {e}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
+    return {"compare_verdict.json": verdict}
 
 
-def _calibration_report(master_seed: int) -> dict:
-    rng = np.random.default_rng(replica_seed(master_seed, 0, "analysis"))
+def cmd_calibrate(cfg, args) -> dict:
+    rng = np.random.default_rng(replica_seed(cfg.ensemble.master_seed, 0, "analysis"))
     report = {}
 
     # Brownian diffusion recovery.
@@ -379,20 +308,7 @@ def _calibration_report(master_seed: int) -> dict:
         "gradient_field_residual": irrotationality_residual(grad_field),
         "rotation_field_residual": irrotationality_residual(rot_field),
     }
-    return report
-
-
-def cmd_calibrate(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(cfg, args)
-    report = _calibration_report(cfg.ensemble.master_seed)
-    try:
-        atomic_write_text(os.path.join(out, "calibration_report.json"),
-                          json.dumps(report, indent=2, sort_keys=True))
-    except OSError as e:
-        print(f"i/o error: {e}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
+    return {"calibration_report.json": report}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -440,12 +356,25 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
-        return args.fn(args)
-    except SystemExit as e:
-        return e.code if isinstance(e.code, int) else EXIT_USAGE
+        cfg = _load_config(args)
+        artifacts = args.fn(cfg, args)
+        out = _out_dir(cfg, args)
+        for name, doc in artifacts.items():
+            text = doc if isinstance(doc, str) else json.dumps(doc, indent=2, sort_keys=True)
+            atomic_write_text(os.path.join(out, name), text)
+    except ConfigError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except InputError as e:
+        print(f"input error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except NumericsError as e:
         print(f"numeric abort: {e}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as e:
+        print(f"i/o error: {e}", file=sys.stderr)
+        return EXIT_IO
+    return EXIT_OK
 
 
 if __name__ == "__main__":

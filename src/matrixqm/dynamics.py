@@ -132,11 +132,10 @@ class _OStep:
     slot 0 when noise_mode is offdiagonal.
     """
 
-    def __init__(self, params: ModelParams, dt: float, gamma: float, T: float,
-                 integ: IntegratorConfig):
-        N, mu = params.N, params.mu
+    def __init__(self, params: ModelParams, integ: IntegratorConfig):
+        N, mu, T = params.N, params.mu, integ.temperature
         all_noise = integ.noise_mode == NOISE_ALL
-        self.c1 = np.exp(-gamma * dt)
+        self.c1 = np.exp(-integ.gamma * integ.dt)
         self.c2 = np.sqrt(1.0 - self.c1 * self.c1)
         self.sd_off = np.sqrt(T / (4.0 * mu))
         self.sd_diag = np.sqrt(T / (2.0 * mu)) if all_noise else None
@@ -197,7 +196,6 @@ def step_langevin(
     gamma: float,
     T: float,
     rng,
-    integ: IntegratorConfig | None = None,
 ) -> MatrixConfiguration:
     """One BAOAB step targeting the Gibbs measure exp(-(K+U)/T).
 
@@ -206,10 +204,9 @@ def step_langevin(
     Noise amplitudes respect the per-entry masses (2*mu diagonal, 4*mu
     per independent off-diagonal entry).
     """
-    if integ is None:
-        integ = IntegratorConfig(mode=LANGEVIN, dt=dt, steps=1, gamma=gamma, temperature=T)
+    integ = IntegratorConfig(mode=LANGEVIN, dt=dt, steps=1, gamma=gamma, temperature=T)
     X, V, _ = _langevin_raw(config.X, config.V, force(config, params), params, dt,
-                            _OStep(params, dt, gamma, T, integ), [rng])
+                            _OStep(params, integ), [rng])
     return MatrixConfiguration(X=X, V=V, time=config.time + dt)
 
 
@@ -261,7 +258,7 @@ def run(
     f = _stacked_force(X, params)
     if integ.mode == LANGEVIN:
         rngs = [np.random.default_rng(s) for s in seeds]
-        o = _OStep(params, integ.dt, integ.gamma, integ.temperature, integ)
+        o = _OStep(params, integ)
     for step in range(1, integ.steps + 1):
         if integ.mode == MICROCANONICAL:
             X, V, f = _leapfrog_raw(X, V, f, params, integ.dt)
@@ -289,11 +286,12 @@ def run(
     ]
 
 
-def integrated_autocorrelation_time(x: np.ndarray, max_lag: int | None = None) -> float:
+def integrated_autocorrelation_time(x: np.ndarray) -> float:
     """Integrated autocorrelation time with a standard self-consistent window.
 
     Sums normalized autocorrelations up to the first lag where the running
-    window exceeds ~5 tau (Sokal's criterion); returns at least 0.5.
+    window exceeds ~5 tau (Sokal's criterion), or up to lag n/2; returns at
+    least 0.5.
     """
     x = np.asarray(x, dtype=float)
     n = len(x)
@@ -303,10 +301,8 @@ def integrated_autocorrelation_time(x: np.ndarray, max_lag: int | None = None) -
     var = float(x @ x) / n
     if var == 0:
         return 0.5
-    if max_lag is None:
-        max_lag = n // 2
     tau = 0.5
-    for k in range(1, max_lag):
+    for k in range(1, n // 2):
         rho = float(x[:-k] @ x[k:]) / ((n - k) * var)
         tau += rho
         if k >= 5.0 * tau:

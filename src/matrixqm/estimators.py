@@ -234,19 +234,21 @@ def _kernel_weights(grid: Grid, samples: np.ndarray, bandwidth: float) -> np.nda
     return np.exp(-0.5 * d2 / bandwidth**2)
 
 
+CURRENT_VELOCITY_MIN_WEIGHT = 1e-3
+
+
 def estimate_current_velocity(
     trajectories,
     query_time,
     grid: Grid,
     bandwidth: float,
     lag: int = 1,
-    min_weight_frac: float = 1e-3,
 ) -> FieldEstimate:
     """Nelson current velocity by kernel regression of symmetric differences.
 
     v(lambda) = E[(x(t+tau) - x(t-tau)) / (2 tau) | x(t) = lambda], estimated
     with Gaussian weights around each grid cell.  Cells carrying less than
-    min_weight_frac of the peak weight are masked.
+    CURRENT_VELOCITY_MIN_WEIGHT of the peak weight are masked.
     """
     if lag < 1:
         raise ValueError("lag must be >= 1")
@@ -271,7 +273,7 @@ def estimate_current_velocity(
 
     w = _kernel_weights(grid, pos, bandwidth)  # (cells, samples)
     wsum = w.sum(axis=1)
-    mask = wsum > min_weight_frac * wsum.max()
+    mask = wsum > CURRENT_VELOCITY_MIN_WEIGHT * wsum.max()
     safe = np.where(mask, wsum, 1.0)
     n_eff = wsum**2 / np.maximum((w**2).sum(axis=1), 1e-300)
     v = np.zeros((grid.ndim,) + grid.shape)

@@ -221,14 +221,13 @@ def nelson_evolve(
     return NelsonEnsemble(walkers=x, nu=nu, time=t, reflections=reflections)
 
 
-def compare_densities(rho_a, rho_b, metric: str = "L1", h: float | None = None) -> float:
-    """L1 (total variation style) or KS distance between two gridded densities."""
+def compare_densities(rho_a, rho_b, metric: str, h: float) -> float:
+    """L1 (total variation style) or KS distance between two gridded densities
+    of grid spacing h."""
     rho_a = np.asarray(rho_a, dtype=float)
     rho_b = np.asarray(rho_b, dtype=float)
     if rho_a.shape != rho_b.shape:
         raise ValueError("grid mismatch between densities")
-    if h is None:
-        h = 1.0
     if metric == "L1":
         return float(np.sum(np.abs(rho_a - rho_b)) * h)
     if metric == "KS":

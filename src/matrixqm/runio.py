@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .core import ModelParams
 from .dynamics import IntegratorConfig, TrajectoryRecord
-from .estimators import SweepSettings
+from .estimators import ScalingPoint, SweepSettings
 
 
 class ConfigError(ValueError):
@@ -264,24 +264,13 @@ def load_record_csv(text: str) -> dict:
     return {name: data[:, j] for j, name in enumerate(header)}
 
 
-SWEEP_COLUMNS = [
-    "N", "T", "t_scaled", "nu_hat", "nu_stderr", "nu_pred", "hbar_emergent",
-    "irrot_residual", "mean_frame_residual", "nonconverged_frames", "ambiguous_steps",
-    "mean_frame_sweeps", "pair_sum", "nu_convention",
-]
-
-
 def sweep_to_csv(points, pair_sum: str, nu_convention: str) -> str:
-    lines = [",".join(SWEEP_COLUMNS)]
+    """One column per ScalingPoint field, in field order, then pair_sum and
+    nu_convention.  %.17g prints the integer fields exactly as str does."""
+    names = [f.name for f in fields(ScalingPoint)]
+    lines = [",".join(names + ["pair_sum", "nu_convention"])]
     for p in points:
-        row = [
-            str(p.N), _fmt(p.T), _fmt(p.t_scaled), _fmt(p.nu_hat), _fmt(p.nu_stderr),
-            _fmt(p.nu_pred), _fmt(p.hbar_emergent), _fmt(p.irrot_residual),
-            _fmt(p.mean_frame_residual), str(p.nonconverged_frames), str(p.ambiguous_steps),
-            _fmt(p.mean_frame_sweeps),
-            pair_sum, nu_convention,
-        ]
-        lines.append(",".join(row))
+        lines.append(",".join([_fmt(getattr(p, n)) for n in names] + [pair_sum, nu_convention]))
     return "\n".join(lines) + "\n"
 
 

@@ -263,6 +263,19 @@ class TestSweep:
         b = open(os.path.join(out2, "sweep.csv"), "rb").read()
         assert a == b
 
+    def test_numeric_abort_writes_nothing(self, tmp_path, capsys):
+        # A sweep aborts at step 4 of its burn-in; like simulate, it must
+        # leave no output directory behind.
+        doc = {"model": {"d": 2, "N": 3},
+               "sweep": {"N_list": [3], "replicas": 1, "burn_in_steps": 200, "steps": 50,
+                         "record_every": 5, "dt": 5.0, "spread": 3.0}}
+        cfg = write_config(tmp_path, doc)
+        out = os.path.join(tmp_path, "sw")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["sweep", "--config", cfg, "--out", out]) == EXIT_NUMERIC
+        assert "numeric abort: " in capsys.readouterr().err
+        assert not os.path.exists(out)
+
 
 class TestOracle:
     def test_report_written(self, tmp_path):
@@ -312,6 +325,10 @@ class TestCompare:
         ("trajectory", "", "no data rows"),
         ("oracle_file", "x,re_psi,im_psi\n0,1,0\n0.1,oops,0\n",
          "data row 2: could not convert string to float: 'oops'"),
+        # The trajectory slot takes a record CSV only; an oracle-format file
+        # there is refused rather than compared as a second density.
+        ("trajectory", "x,re_psi,im_psi\n0,1,0\n0.1,1,0\n",
+         "no eigenvalue or position columns in trajectory file"),
     ])
     def test_bad_input_file_usage_exit(self, tmp_path, capsys, target, text, reason):
         cfg = write_config(tmp_path, BASE_CONFIG)
@@ -368,6 +385,34 @@ class TestCalibrate:
         assert rep["ou_diffusion"]["rel_error"] < 0.05
         assert rep["irrotationality"]["gradient_field_residual"] < 5e-2
         assert rep["irrotationality"]["rotation_field_residual"] > 0.5
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "oracle", "compare", "calibrate"])
+def test_unwritable_out_io_exit(tmp_path, capsys, command):
+    # Every command's artifacts go through the one write path in main: an
+    # output directory under a regular file is an I/O error for each of them.
+    cfg = write_config(tmp_path, {
+        **BASE_CONFIG,
+        "integrator": {**BASE_CONFIG["integrator"], "steps": 20},
+        "oracle": {"grid_points": 48, "walkers": 200},
+        "sweep": {"N_list": [3], "replicas": 1, "burn_in_steps": 10, "steps": 50,
+                  "record_every": 5}})
+    inputs = {
+        os.path.join(tmp_path, "record.csv"): "time,lam_0_0,lam_0_1,lam_0_2\n0,0.5,-0.2,0.1\n",
+        os.path.join(tmp_path, "psi.csv"): "x,re_psi,im_psi\n0,1,0\n0.1,1,0\n",
+    }
+    for path, text in inputs.items():
+        with open(path, "w") as fh:
+            fh.write(text)
+    blocker = os.path.join(tmp_path, "blocker")
+    open(blocker, "w").close()
+    argv = [command, "--config", cfg, "--out", os.path.join(blocker, "out")]
+    if command == "compare":
+        argv += list(inputs)
+    assert main(argv) == EXIT_IO
+    err = capsys.readouterr().err
+    assert "i/o error: " in err
+    assert "Traceback" not in err
 
 
 # No command may load scipy: the runtime needs only numpy, and importing scipy
