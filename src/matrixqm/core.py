@@ -184,39 +184,62 @@ def total_energy(config: MatrixConfiguration, params: ModelParams) -> float:
 
 
 @lru_cache(maxsize=8)
-def _direction_pairs(d: int) -> tuple:
-    """The direction pairs a < b in loop order, as index arrays (ia, ib)."""
-    return np.triu_indices(d, 1)
+def _force_terms(d: int) -> tuple:
+    """Index arrays of the force's pair terms, cached per d.
+
+    ia, ib are the direction pairs a < b in loop order.  Row j of other
+    lists the d - 1 directions paired with j in that loop order, which is
+    ascending; sel[j, m] picks [X_j, X_other] out of the commutators stacked
+    as [C, -C] (C_k = [X_a, X_b] of pair k, and -C_k = [X_b, X_a]).
+    """
+    ia, ib = np.triu_indices(d, 1)
+    p = len(ia)
+    pair = np.zeros((d, d), dtype=np.intp)
+    pair[ia, ib] = np.arange(p)
+    pair[ib, ia] = p + np.arange(p)
+    other = np.array([[o for o in range(d) if o != j] for j in range(d)],
+                     dtype=np.intp).reshape(d, d - 1)
+    return ia, ib, other, pair[np.arange(d)[:, None], other]
 
 
 def _stacked_force(X: np.ndarray, params: ModelParams) -> np.ndarray:
     """force_raw() on any stack of configurations, shape (..., d, N, N).
 
-    The six products of every direction pair are batched matmuls over the
-    pairs (and the leading axes), and the pair terms are accumulated in the
-    order of a plain a < b loop, so each configuration's force is bitwise
-    the same whatever stack it is part of.
+    Direction j gets one term [X_o, [X_j, X_o]] from each other direction o.
+    For symmetric X the commutator of pair a < b is C = P - P^T with
+    P = X_a X_b, exactly antisymmetric, so the term is Q + Q^T with
+    Q = X_o [X_j, X_o]: X_b C on the a-side, X_a (-C) on the b-side.  That
+    is three products per pair, batched over the pairs and the leading
+    axes.  Each direction adds its d - 1 terms in the order of a plain a < b
+    loop, so the sum is exactly symmetric and each configuration's force is
+    bitwise the same whatever stack it is part of.
     """
     eps = params.epsilon
     coeff = 2.0 * eps if params.pair_sum == UNORDERED else 4.0 * eps
-    f = np.zeros_like(X)
-    ia, ib = _direction_pairs(params.d)
-    xa = X[..., ia, :, :]
-    xb = X[..., ib, :, :]
-    c = xa @ xb - xb @ xa
-    fa = xb @ c - c @ xb
-    fb = xa @ c - c @ xa
-    for k, (a, b) in enumerate(zip(ia, ib)):
-        f[..., a, :, :] += fa[..., k, :, :]
-        f[..., b, :, :] -= fb[..., k, :, :]
+    d = params.d
+    if d == 1:
+        f = np.zeros_like(X)
+    else:
+        ia, ib, other, sel = _force_terms(d)
+        P = X.take(ia, axis=-3) @ X.take(ib, axis=-3)
+        C = P - np.swapaxes(P, -1, -2)
+        C = np.concatenate([C, -C], axis=-3)
+        Q = X.take(other, axis=-3) @ C.take(sel, axis=-3)  # (..., d, d - 1, N, N)
+        T = Q + np.swapaxes(Q, -1, -2)
+        f = T[..., 0, :, :]
+        for m in range(1, d - 1):
+            f = f + T[..., m, :, :]
     f *= coeff
     if params.kappa > 0:
         f -= 2.0 * params.kappa * eps * X
-    return symmetrize(f)
+    # + 0.0 turns -0.0 into 0.0: a zero entry gets the same bits whatever
+    # the order of the sums that made it.
+    f += 0.0
+    return f
 
 
 def force_raw(X: np.ndarray, params: ModelParams) -> np.ndarray:
-    """force() on one bare (d, N, N) array, exactly symmetric."""
+    """force() on one bare (d, N, N) array, exactly symmetric when X is."""
     if X.ndim != 3:
         raise ShapeError(f"X must have shape (d, N, N), got {X.shape}")
     return _stacked_force(X, params)

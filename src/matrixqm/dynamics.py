@@ -37,11 +37,19 @@ NOISE_OFFDIAG = "offdiagonal"
 class NumericsError(RuntimeError):
     """NaN/Inf encountered during integration; carries the step and replica index."""
 
-    def __init__(self, step: int, message: str, replica: int | None = None):
+    def __init__(self, step: int, message: str, replica: int | None = None,
+                 context: str | None = None):
         where = f"step {step}" if replica is None else f"replica {replica}, step {step}"
+        if context is not None:
+            where = f"{context}: {where}"
         super().__init__(f"{where}: {message}")
         self.step = step
         self.replica = replica
+        self.message = message
+
+    def within(self, context: str) -> "NumericsError":
+        """The same error, its text prefixed by the run it happened in."""
+        return NumericsError(self.step, self.message, self.replica, context)
 
 
 @dataclass
@@ -100,13 +108,17 @@ class TrajectoryRecord:
 
 
 def _leapfrog_raw(X, V, f, params, dt):
-    """Velocity-Verlet on bare arrays; X/V stay exactly symmetric because f is."""
-    inv2mu = 1.0 / (2.0 * params.mu)
-    V = V + (0.5 * dt * inv2mu) * f
-    X = X + dt * V
-    f_new = _stacked_force(X, params)
-    V = V + (0.5 * dt * inv2mu) * f_new
-    return X, V, f_new
+    """Velocity-Verlet on bare arrays, in place: X and V are overwritten and
+    the new force is returned.  X/V stay exactly symmetric because f is."""
+    kick = 0.5 * dt * (1.0 / (2.0 * params.mu))
+    scratch = kick * f
+    V += scratch
+    np.multiply(V, dt, out=scratch)
+    X += scratch
+    f = _stacked_force(X, params)
+    np.multiply(f, kick, out=scratch)
+    V += scratch
+    return f
 
 
 def step_leapfrog(
@@ -117,7 +129,8 @@ def step_leapfrog(
     """One velocity-Verlet step under F = force(); time advances by dt."""
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    X, V, _ = _leapfrog_raw(config.X, config.V, force(config, params), params, dt)
+    X, V = config.X.copy(), config.V.copy()
+    _leapfrog_raw(X, V, force(config, params), params, dt)
     return MatrixConfiguration(X=X, V=V, time=config.time + dt)
 
 
@@ -125,26 +138,30 @@ class _OStep:
     """Constants of the BAOAB O-step, built once per run rather than per step.
 
     The thermal noise has per-entry variance T/m_e (m_e = 2mu on the
-    diagonal, 4mu per independent off-diagonal entry).  Each direction's
-    draws are packed as [0, off-diagonal (n_off), diagonal (N)], and
-    unpack[k] is the packed slot of flat entry k of the N x N noise matrix:
-    both triangles read the same off-diagonal draw, and the diagonal reads
-    slot 0 when noise_mode is offdiagonal.
+    diagonal, 4mu per independent off-diagonal entry).  A configuration's
+    draws are packed as [0, off-diagonal (d * n_off), diagonal (d * N)],
+    direction by direction within each block, and scale holds each slot's
+    standard deviation.  unpack[k] is the packed slot of flat entry k of the
+    (d, N, N) noise stack: both triangles read the same off-diagonal draw,
+    and the diagonal reads slot 0 when noise_mode is offdiagonal.
     """
 
     def __init__(self, params: ModelParams, integ: IntegratorConfig):
-        N, mu, T = params.N, params.mu, integ.temperature
+        d, N, mu, T = params.d, params.N, params.mu, integ.temperature
         all_noise = integ.noise_mode == NOISE_ALL
         self.c1 = np.exp(-integ.gamma * integ.dt)
         self.c2 = np.sqrt(1.0 - self.c1 * self.c1)
-        self.sd_off = np.sqrt(T / (4.0 * mu))
-        self.sd_diag = np.sqrt(T / (2.0 * mu)) if all_noise else None
         iu = np.triu_indices(N, 1)
         n_off = len(iu[0])
-        unpack = np.zeros((N, N), dtype=np.intp)
-        unpack[iu] = unpack.T[iu] = np.arange(1, n_off + 1)
+        scale = [np.zeros(1), np.full(d * n_off, np.sqrt(T / (4.0 * mu)))]
+        unpack = np.zeros((d, N, N), dtype=np.intp)
+        off_slots = 1 + np.arange(d * n_off).reshape(d, n_off)
+        unpack[:, iu[0], iu[1]] = unpack[:, iu[1], iu[0]] = off_slots
         if all_noise:
-            unpack[np.diag_indices(N)] = np.arange(n_off + 1, n_off + 1 + N)
+            scale.append(np.full(d * N, np.sqrt(T / (2.0 * mu))))
+            unpack[:, np.arange(N), np.arange(N)] = (
+                1 + d * n_off + np.arange(d * N).reshape(d, N))
+        self.scale = np.concatenate(scale)
         self.unpack = unpack.ravel()
         self.eye = np.eye(N) if integ.project_trace_noise else None
         # noise_mode offdiagonal refreshes (and damps) only off-diagonal entries.
@@ -154,39 +171,47 @@ class _OStep:
 
 def _thermal_noise(o: _OStep, rngs, shape) -> np.ndarray:
     """Symmetric noise matrices of the given stack shape, one generator per
-    configuration: each draws its (d, n_off) off-diagonal entries, then its
-    (d, N) diagonal ones."""
-    d, N = shape[-3], shape[-1]
-    n_off = N * (N - 1) // 2
-    packed = np.zeros((len(rngs), d, 1 + n_off + N))
-    for rng, draws in zip(rngs, packed):
-        draws[:, 1:n_off + 1] = rng.normal(0.0, o.sd_off, size=(d, n_off))
-        if o.sd_diag is not None:
-            draws[:, n_off + 1:] = rng.normal(0.0, o.sd_diag, size=(d, N))
+    configuration: each draws its off-diagonal entries, then its diagonal
+    ones, in one standard_normal call.  sd * z + 0.0 is the value
+    normal(0.0, sd) returns for the same z."""
+    packed = np.zeros((len(rngs), o.scale.size))
+    for rng, row in zip(rngs, packed):
+        rng.standard_normal(out=row[1:])
+    packed *= o.scale
+    packed += 0.0
     noise = packed.take(o.unpack, axis=-1).reshape(shape)
     if o.eye is not None:
+        N = shape[-1]
         tr = np.trace(noise, axis1=-2, axis2=-1) / N
         noise -= tr[..., None, None] * o.eye
     return noise
 
 
 def _langevin_raw(X, V, f, params, dt, o, rngs):
-    """One BAOAB step on bare arrays; rngs holds one generator per configuration."""
-    inv2mu = 1.0 / (2.0 * params.mu)
-    V = V + (0.5 * dt * inv2mu) * f
-    X = X + (0.5 * dt) * V
+    """One BAOAB step on bare arrays, in place like _leapfrog_raw; rngs holds
+    one generator per configuration."""
+    kick = 0.5 * dt * (1.0 / (2.0 * params.mu))
+    scratch = kick * f
+    V += scratch
+    np.multiply(V, 0.5 * dt, out=scratch)
+    X += scratch
 
     noise = _thermal_noise(o, rngs, X.shape)
+    noise *= o.c2
     if o.offdiag_mask is not None:
         # OU refresh only on off-diagonal entries; diagonal keeps its velocity.
-        V = V * o.keep + o.c2 * noise * o.offdiag_mask
+        V *= o.keep
+        noise *= o.offdiag_mask
     else:
-        V = o.c1 * V + o.c2 * noise
+        V *= o.c1
+    V += noise
 
-    X = X + (0.5 * dt) * V
-    f_new = _stacked_force(X, params)
-    V = V + (0.5 * dt * inv2mu) * f_new
-    return X, V, f_new
+    np.multiply(V, 0.5 * dt, out=scratch)
+    X += scratch
+    f = _stacked_force(X, params)
+    np.multiply(f, kick, out=scratch)
+    V += scratch
+    return f
 
 
 def step_langevin(
@@ -205,8 +230,8 @@ def step_langevin(
     per independent off-diagonal entry).
     """
     integ = IntegratorConfig(mode=LANGEVIN, dt=dt, steps=1, gamma=gamma, temperature=T)
-    X, V, _ = _langevin_raw(config.X, config.V, force(config, params), params, dt,
-                            _OStep(params, integ), [rng])
+    X, V = config.X.copy(), config.V.copy()
+    _langevin_raw(X, V, force(config, params), params, dt, _OStep(params, integ), [rng])
     return MatrixConfiguration(X=X, V=V, time=config.time + dt)
 
 
@@ -259,19 +284,23 @@ def run(
     if integ.mode == LANGEVIN:
         rngs = [np.random.default_rng(s) for s in seeds]
         o = _OStep(params, integ)
-    for step in range(1, integ.steps + 1):
-        if integ.mode == MICROCANONICAL:
-            X, V, f = _leapfrog_raw(X, V, f, params, integ.dt)
-        else:
-            X, V, f = _langevin_raw(X, V, f, params, integ.dt, o, rngs)
-        if not np.isfinite(f).all():
-            r = int(np.argmin(np.isfinite(f).reshape(len(cfgs), -1).all(axis=1)))
-            k = float(np.nansum(V[r] * V[r])) * params.mu
-            raise NumericsError(step, f"non-finite matrix entry (K~{k:.3g}); reduce dt", r)
-        if step % integ.record_every == 0:
-            for r, rec in enumerate(recorders):
-                rec.add(MatrixConfiguration(X=X[r], V=V[r], time=t0[r] + step * integ.dt),
-                        params)
+    # A blow-up is reported once, as a NumericsError, not as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, integ.steps + 1):
+            if integ.mode == MICROCANONICAL:
+                f = _leapfrog_raw(X, V, f, params, integ.dt)
+            else:
+                f = _langevin_raw(X, V, f, params, integ.dt, o, rngs)
+            if not np.isfinite(f).all():
+                r = int(np.argmin(np.isfinite(f).reshape(len(cfgs), -1).all(axis=1)))
+                k = float(np.nansum(V[r] * V[r])) * params.mu
+                raise NumericsError(step, f"non-finite matrix entry (K~{k:.3g}); reduce dt", r)
+            if step % integ.record_every == 0:
+                for r, rec in enumerate(recorders):
+                    # The steps update X and V in place: MatrixConfiguration's
+                    # symmetrize copies X[r] and V[r], which keeps records intact.
+                    rec.add(MatrixConfiguration(X=X[r], V=V[r], time=t0[r] + step * integ.dt),
+                            params)
 
     return [
         TrajectoryRecord(

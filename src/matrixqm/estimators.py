@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ModelParams, ParticleFrame, random_config
-from .dynamics import LANGEVIN, IntegratorConfig, run
+from .dynamics import LANGEVIN, IntegratorConfig, NumericsError, run
 
 
 @dataclass
@@ -547,7 +547,10 @@ def scaling_sweep(
             record_every=max(1, s.burn_in_steps),
             project_trace_noise=True,
         )
-        burnt = run(configs, params, burn, [seed["burn"] for seed in seeds])
+        try:
+            burnt = run(configs, params, burn, [seed["burn"] for seed in seeds])
+        except NumericsError as e:
+            raise e.within(f"sweep N={N}, burn-in run") from None
         measure = IntegratorConfig(
             mode=LANGEVIN,
             dt=s.dt,
@@ -559,8 +562,11 @@ def scaling_sweep(
             project_trace_noise=True,
         )
         trajectories = []
-        records = run([rec.final_config for rec in burnt], params, measure,
-                      [seed["run"] for seed in seeds])
+        try:
+            records = run([rec.final_config for rec in burnt], params, measure,
+                          [seed["run"] for seed in seeds])
+        except NumericsError as e:
+            raise e.within(f"sweep N={N}, measurement run") from None
         for r, rec in enumerate(records):
             traj = track_particles(rec.frames, rec.times)
             traj.replica_id = r

@@ -25,6 +25,14 @@ def _no_env_override(monkeypatch):
     monkeypatch.delenv("MATRIXQM_OUT", raising=False)
 
 
+def fresh_env():
+    """Environment for a child interpreter that imports matrixqm from src."""
+    env = {k: v for k, v in os.environ.items() if k != "MATRIXQM_OUT"}
+    env["PYTHONPATH"] = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return env
+
+
 def write_config(tmp_path, doc, name="cfg.json"):
     path = os.path.join(tmp_path, name)
     with open(path, "w") as fh:
@@ -276,6 +284,26 @@ class TestSweep:
         assert "numeric abort: " in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("burn_in, where", [
+        (200, "burn-in run: replica 0, step 4"),
+        (2, "measurement run: replica 0, step 2"),
+    ])
+    def test_numeric_abort_names_sweep_point(self, tmp_path, burn_in, where):
+        # A fresh interpreter shows every numpy warning on stderr: the abort
+        # line, naming N and the run, must be all there is.
+        doc = {"model": {"d": 2, "N": 3},
+               "sweep": {"N_list": [3], "replicas": 1, "burn_in_steps": burn_in,
+                         "steps": 50, "record_every": 5, "dt": 5.0, "spread": 3.0}}
+        cfg = write_config(tmp_path, doc)
+        out = os.path.join(tmp_path, "sw")
+        proc = subprocess.run(
+            [sys.executable, "-m", "matrixqm.cli", "sweep", "--config", cfg, "--out", out],
+            env=fresh_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_NUMERIC
+        assert proc.stderr == (f"numeric abort: sweep N=3, {where}: "
+                               "non-finite matrix entry (K~inf); reduce dt\n")
+        assert not os.path.exists(out)
+
 
 class TestOracle:
     def test_report_written(self, tmp_path):
@@ -449,11 +477,8 @@ def test_no_command_loads_scipy(tmp_path):
         ["calibrate", "--config", sim, "--out", out],
         ["sweep", "--config", swp, "--out", out],
     ]
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = {k: v for k, v in os.environ.items() if k != "MATRIXQM_OUT"}
-    env["PYTHONPATH"] = src
     proc = subprocess.run([sys.executable, "-c", SCIPY_GUARD, json.dumps(argvs)],
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=fresh_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
     for step in ("import", "simulate", "oracle", "compare", "calibrate", "sweep"):

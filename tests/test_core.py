@@ -29,6 +29,8 @@ from matrixqm.core import (
 )
 from matrixqm.core import _stacked_force
 
+from kernel_oracles import loop_force
+
 
 def fd_force(config, params, h=1e-6):
     """Central finite-difference gradient of -U per independent upper-triangle
@@ -263,23 +265,6 @@ class TestGaugeProperties:
         assert np.max(np.abs(rotated - expected)) <= 1e-10 * np.max(np.abs(f))
 
 
-def loop_force(X, params):
-    """The force as a plain loop over direction pairs, one configuration at a
-    time, symmetrized by adding the two zero-filled triangles."""
-    eps = params.epsilon
-    coeff = 2.0 * eps if params.pair_sum == UNORDERED else 4.0 * eps
-    f = np.zeros_like(X)
-    for a in range(params.d):
-        for b in range(a + 1, params.d):
-            c = X[a] @ X[b] - X[b] @ X[a]
-            f[a] += X[b] @ c - c @ X[b]
-            f[b] -= X[a] @ c - c @ X[a]
-    f *= coeff
-    if params.kappa > 0:
-        f -= 2.0 * params.kappa * eps * X
-    return np.triu(f) + np.swapaxes(np.triu(f, 1), -1, -2)
-
-
 class TestStackedForce:
     @settings(max_examples=50, deadline=None)
     @given(FORCE_CASES, st.integers(1, 3), st.sampled_from([ORDERED, UNORDERED]))
@@ -292,6 +277,42 @@ class TestStackedForce:
             ref = loop_force(X[r], p)
             assert np.array_equal(bits(stacked[r]), bits(ref))
             assert np.array_equal(bits(force_raw(X[r], p)), bits(ref))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["commuting", "zero", "one_zero_direction", "random",
+                                      "underflow"])
+    @pytest.mark.parametrize("kappa", [0.0, 0.3])
+    def test_bitwise_equal_to_pair_loop_exact_zeros(self, d, kind, kappa):
+        # Commuting and zero configurations make zero commutators, where the
+        # sign of each zero and the order of the sums decide the bits.  At
+        # |X| ~ 1e-108 the pair terms are a few subnormal units, and
+        # 2 mu omega^2 = 0.2 rounds the smallest negative ones to -0.0.
+        N, R = 5, 2
+        p = ModelParams(d=d, N=N, mu=0.1 if kind == "underflow" else 1.0, kappa=kappa)
+        rng = np.random.default_rng(d)
+        if kind == "commuting":
+            O = random_special_orthogonal(N, rng)
+            X = np.stack([np.stack([O @ np.diag(rng.normal(size=N)) @ O.T for _ in range(d)])
+                          for _ in range(R)])
+            X = symmetrize(X)
+            X[1] = np.stack([np.diag(np.diag(x)) for x in X[1]])  # exactly diagonal
+        elif kind == "zero":
+            X = np.zeros((R, d, N, N))
+            X[1] = -0.0
+        else:
+            X = np.stack([random_config(p, 0.8, r).X for r in range(R)])
+            if kind == "one_zero_direction":
+                X[:, 0] = 0.0
+            elif kind == "underflow":
+                X *= 1e-108
+        stacked = _stacked_force(X, p)
+        for r in range(R):
+            ref = loop_force(X[r], p)
+            assert np.array_equal(bits(stacked[r]), bits(ref))
+            assert np.array_equal(bits(force_raw(X[r], p)), bits(ref))
+        if kind == "zero" or (kind == "commuting" and kappa == 0.0):
+            # Replica 1 commutes exactly: its force is all +0.0.
+            assert np.array_equal(bits(stacked[1]), bits(np.zeros_like(X[1])))
 
     def test_force_raw_takes_one_configuration(self):
         p = ModelParams(d=2, N=3)

@@ -6,10 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matrixqm import dynamics
 from matrixqm.core import (
     MatrixConfiguration,
     ModelParams,
     com_momentum,
+    eigenvalues,
+    kinetic_energy,
+    potential_energy,
     random_config,
     total_energy,
 )
@@ -22,6 +26,8 @@ from matrixqm.dynamics import (
     step_langevin,
     step_leapfrog,
 )
+
+from kernel_oracles import reference_noise, reference_run
 
 
 def scalar_oscillator_params(kappa=0.5):
@@ -271,3 +277,111 @@ class TestReplicaBatching:
         integ = IntegratorConfig(mode="microcanonical", dt=0.01, steps=2)
         with pytest.raises(ValueError, match="2 configs but 1 seeds"):
             run([random_config(p, 0.3, 0)] * 2, p, integ, [0])
+
+
+# (R, d, N, mode, noise_mode, project_trace_noise, kappa, temperature, seed)
+REFERENCE_CASES = st.tuples(
+    st.integers(1, 3), st.integers(1, 4), st.integers(2, 12),
+    st.sampled_from(["microcanonical", "langevin"]), st.sampled_from(["all", "offdiagonal"]),
+    st.booleans(), st.sampled_from([0.0, 0.3]), st.sampled_from([0.0, 0.3]),
+    st.integers(0, 2**32 - 1))
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def moving_configs(p, R, seed):
+    """R random configurations with nonzero velocities and distinct start times."""
+    cfgs = [random_config(p, spread=0.4, seed=seed + r) for r in range(R)]
+    return [MatrixConfiguration(X=c.X, V=0.5 * c.X[::-1], time=0.25 * r)
+            for r, c in enumerate(cfgs)]
+
+
+class TestReferenceKernels:
+    @settings(max_examples=60, deadline=None)
+    @given(REFERENCE_CASES)
+    def test_noise_bitwise_equal_to_two_normal_calls(self, case):
+        # At T = 0 every reference draw is 0.0 + 0.0 * z = +0.0, never -0.0.
+        R, d, N, _, noise_mode, project, _, T, seed = case
+        p = ModelParams(d=d, N=N)
+        integ = IntegratorConfig(mode="langevin", dt=0.01, steps=3, gamma=0.5, temperature=T,
+                                 noise_mode=noise_mode, project_trace_noise=project)
+        o = dynamics._OStep(p, integ)
+        rngs = [np.random.default_rng(seed + r) for r in range(R)]
+        refs = [np.random.default_rng(seed + r) for r in range(R)]
+        for _ in range(integ.steps):
+            noise = dynamics._thermal_noise(o, rngs, (R, d, N, N))
+            expected = np.stack([reference_noise(rng, p, integ) for rng in refs])
+            assert np.array_equal(bits(noise), bits(expected))
+
+    @settings(max_examples=60, deadline=None)
+    @given(REFERENCE_CASES)
+    def test_run_bitwise_equal_to_reference_loop(self, case):
+        R, d, N, mode, noise_mode, project, kappa, T, seed = case
+        p = ModelParams(d=d, N=N, kappa=kappa)
+        integ = IntegratorConfig(mode=mode, dt=0.01, steps=12, gamma=0.5, temperature=T,
+                                 record_every=3, noise_mode=noise_mode,
+                                 project_trace_noise=project)
+        cfgs = moving_configs(p, R, seed)
+        seeds = [seed + 7 * r for r in range(R)]
+        records = run(cfgs, p, integ, seeds)
+        for cfg, cfg_seed, rec in zip(cfgs, seeds, records):
+            snapshots, (t_end, X_end, V_end) = reference_run(cfg, p, integ, cfg_seed)
+            ref = [MatrixConfiguration(X=X, V=V, time=t) for t, X, V in snapshots]
+            assert np.array_equal(rec.times, [c.time for c in ref])
+            assert np.array_equal(np.stack([s.lam for s in rec.spectra]),
+                                  np.stack([eigenvalues(c).lam for c in ref]))
+            assert np.array_equal(rec.energies, [(kinetic_energy(c, p), potential_energy(c, p))
+                                                 for c in ref])
+            assert np.array_equal(rec.com_momenta, [com_momentum(c, p) for c in ref])
+            end = MatrixConfiguration(X=X_end, V=V_end, time=t_end)
+            assert np.array_equal(bits(rec.final_config.X), bits(end.X))
+            assert np.array_equal(bits(rec.final_config.V), bits(end.V))
+            assert rec.final_config.time == t_end
+
+
+class TestAliasing:
+    @pytest.mark.parametrize("noise_mode", ["all", "offdiagonal"])
+    def test_steps_leave_input_unchanged(self, noise_mode):
+        p = ModelParams(d=3, N=5, kappa=0.3)
+        cfg = moving_configs(p, 1, 3)[0]
+        X0, V0 = cfg.X.copy(), cfg.V.copy()
+        out = step_langevin(cfg, p, 0.01, 0.5, 0.3, np.random.default_rng(0))
+        assert not np.shares_memory(out.X, cfg.X) and not np.shares_memory(out.V, cfg.V)
+        out = step_leapfrog(cfg, p, 0.01)
+        assert not np.shares_memory(out.X, cfg.X) and not np.shares_memory(out.V, cfg.V)
+        assert np.array_equal(bits(cfg.X), bits(X0))
+        assert np.array_equal(bits(cfg.V), bits(V0))
+
+    @pytest.mark.parametrize("mode", ["microcanonical", "langevin"])
+    def test_recorded_states_not_overwritten(self, mode, monkeypatch):
+        # run() updates its stacked X and V in place; every configuration
+        # it hands the recorders, and every final_config, must be a copy.
+        seen = []
+        add = dynamics._Recorder.add
+
+        def spy(self, cfg, params):
+            seen.append((cfg, cfg.X.copy(), cfg.V.copy()))
+            add(self, cfg, params)
+
+        monkeypatch.setattr(dynamics._Recorder, "add", spy)
+        p = ModelParams(d=2, N=4)
+        integ = IntegratorConfig(mode=mode, dt=0.01, steps=6, gamma=0.5, temperature=0.3,
+                                 record_every=1, record_frames=True)
+        cfgs = moving_configs(p, 2, 5)
+        inputs = [(c.X.copy(), c.V.copy()) for c in cfgs]
+        records = run(cfgs, p, integ, [1, 2])
+        assert len(seen) == 2 * 7
+        for cfg, X, V in seen:
+            assert np.array_equal(bits(cfg.X), bits(X))
+            assert np.array_equal(bits(cfg.V), bits(V))
+        for cfg, (X, V) in zip(cfgs, inputs):
+            assert np.array_equal(bits(cfg.X), bits(X)) and np.array_equal(bits(cfg.V), bits(V))
+        finals = [(r.final_config.X.copy(), r.final_config.V.copy()) for r in records]
+        # Chaining a run from a final_config leaves that final_config alone.
+        run([records[0].final_config], p, integ, [3])
+        for rec, (X, V) in zip(records, finals):
+            assert np.array_equal(bits(rec.final_config.X), bits(X))
+            assert np.array_equal(bits(rec.final_config.V), bits(V))
+        assert not np.shares_memory(records[0].final_config.X, records[1].final_config.X)
