@@ -255,8 +255,7 @@ def cmd_calibrate(cfg, args) -> dict:
     steps = rng.normal(0.0, np.sqrt(2 * nu_true * dt), size=(R, T, 1, 1))
     paths = np.cumsum(steps, axis=1)
     times = np.arange(T) * dt
-    trajs = [EigenTrajectory(times=times, positions=paths[r]) for r in range(R)]
-    est = estimate_diffusion(trajs, (5 * dt, 50 * dt))
+    est = estimate_diffusion(EigenTrajectory(times=times, positions=paths), (5 * dt, 50 * dt))
     report["brownian"] = {"nu_true": nu_true, "nu_hat": est.nu_hat,
                           "stderr": est.stderr,
                           "rel_error": abs(est.nu_hat - nu_true) / nu_true}
@@ -273,8 +272,7 @@ def cmd_calibrate(cfg, args) -> dict:
     for k in range(1, T):
         xs[:, k] = xs[:, k - 1] * (1 - theta * dt) + rng.normal(
             0.0, np.sqrt(2 * nu * dt), size=R)
-    trajs = [EigenTrajectory(times=times[:T], positions=xs[r][:, None, None])
-             for r in range(R)]
+    trajs = EigenTrajectory(times=times[:T], positions=xs[:, :, None, None])
     grid = Grid.regular(-2 * sigma0, 2 * sigma0, 25)
     vf = estimate_current_velocity(trajs, times[T // 2], grid, 0.4, lag=5)
     g = grid.axes[0][vf.mask.ravel()]
@@ -292,8 +290,7 @@ def cmd_calibrate(cfg, args) -> dict:
     for k in range(1, T):
         xs[:, k] = xs[:, k - 1] * (1 - theta * dt) + rng.normal(
             0.0, np.sqrt(2 * nu * dt), size=R)
-    trajs = [EigenTrajectory(times=times[:T], positions=xs[r][:, None, None])
-             for r in range(R)]
+    trajs = EigenTrajectory(times=times[:T], positions=xs[:, :, None, None])
     est = estimate_diffusion(trajs, (1 * dt, 10 * dt))
     report["ou_diffusion"] = {"nu_true": nu, "nu_hat": est.nu_hat,
                               "stderr": est.stderr,

@@ -121,13 +121,6 @@ class MatrixConfiguration:
 
 
 @dataclass
-class Spectrum:
-    """Per-direction eigenvalues, ascending within each direction: shape (d, N)."""
-
-    lam: np.ndarray
-
-
-@dataclass
 class ParticleFrame:
     """Joint-diagonal particle positions with the frame that produced them.
 
@@ -257,10 +250,10 @@ def force(config: MatrixConfiguration, params: ModelParams) -> np.ndarray:
     return force_raw(config.X, params)
 
 
-def eigenvalues(config: MatrixConfiguration) -> Spectrum:
-    """Eigenvalues of each X_a, sorted ascending per direction."""
-    lam = np.stack([np.linalg.eigvalsh(config.X[a]) for a in range(config.d)])
-    return Spectrum(lam=lam)
+def eigenvalues(config: MatrixConfiguration) -> np.ndarray:
+    """Eigenvalues of each X_a, ascending per direction: shape (d, N), from one
+    batched eigvalsh call."""
+    return np.linalg.eigvalsh(config.X)
 
 
 def _pair_angles(A: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ entries so that the sampled measure is exp(-(K+U)/T).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,8 +88,11 @@ class IntegratorConfig:
 
 @dataclass
 class TrajectoryRecord:
+    """One replica's n recorded states: times (n,), the per-direction
+    eigenvalues of each state as spectra (n, d, N), energies and momenta."""
+
     times: np.ndarray
-    spectra: list  # list[Spectrum]
+    spectra: np.ndarray  # (n, d, N), ascending per direction
     energies: np.ndarray  # (n, 2): columns K, U
     com_momenta: np.ndarray  # (n, d)
     frames: list | None = None  # list[ParticleFrame] when recorded
@@ -187,6 +191,20 @@ def _thermal_noise(o: _OStep, rngs, shape) -> np.ndarray:
     return noise
 
 
+@lru_cache(maxsize=32)
+def _langevin_ostep(params: ModelParams, dt: float, gamma: float, T: float) -> _OStep:
+    """step_langevin's O-step constants, built once per (params, dt, gamma, T).
+
+    ModelParams is frozen, so it keys the cache; the arrays handed to every
+    caller are read-only.
+    """
+    o = _OStep(params, IntegratorConfig(mode=LANGEVIN, dt=dt, steps=1, gamma=gamma,
+                                        temperature=T))
+    o.scale.flags.writeable = False
+    o.unpack.flags.writeable = False
+    return o
+
+
 def _langevin_raw(X, V, f, params, dt, o, rngs):
     """One BAOAB step on bare arrays, in place like _leapfrog_raw; rngs holds
     one generator per configuration."""
@@ -229,9 +247,9 @@ def step_langevin(
     Noise amplitudes respect the per-entry masses (2*mu diagonal, 4*mu
     per independent off-diagonal entry).
     """
-    integ = IntegratorConfig(mode=LANGEVIN, dt=dt, steps=1, gamma=gamma, temperature=T)
     X, V = config.X.copy(), config.V.copy()
-    _langevin_raw(X, V, force(config, params), params, dt, _OStep(params, integ), [rng])
+    _langevin_raw(X, V, force(config, params), params, dt, _langevin_ostep(params, dt, gamma, T),
+                  [rng])
     return MatrixConfiguration(X=X, V=V, time=config.time + dt)
 
 
@@ -305,7 +323,7 @@ def run(
     return [
         TrajectoryRecord(
             times=np.array(rec.times),
-            spectra=rec.spectra,
+            spectra=np.array(rec.spectra),
             energies=np.array(rec.energies),
             com_momenta=np.array(rec.momenta),
             frames=rec.frames,

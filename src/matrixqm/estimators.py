@@ -21,20 +21,20 @@ from .dynamics import LANGEVIN, IntegratorConfig, NumericsError, run
 
 @dataclass
 class EigenTrajectory:
-    """Identity-matched particle positions over time for one replica.
+    """Identity-matched particle positions of an ensemble on one time axis.
 
-    positions has shape (T, N, d); residuals is the per-frame joint
-    diagonalization off-diagonal norm, converged its per-frame convergence
-    flag, sweeps its per-frame Jacobi iteration count and ambiguous whether
-    the step into each frame was an ambiguous match (see track_particles;
-    False at frame 0).  For synthetic data they default to zeros, all True,
-    zeros and all False.
+    times has shape (T,) and positions (R, T, N, d): replica r's particle i
+    at times[k] is positions[r, k, i].  The per-frame diagnostics have shape
+    (R, T): residuals is the joint diagonalization off-diagonal norm,
+    converged the convergence flag, sweeps the Jacobi iteration count and
+    ambiguous whether the step into the frame was an ambiguous match (see
+    track_particles; False at frame 0).  For synthetic data they default to
+    zeros, all True, zeros and all False.
     """
 
     times: np.ndarray
     positions: np.ndarray
     residuals: np.ndarray | None = None
-    replica_id: int = 0
     converged: np.ndarray | None = None
     sweeps: np.ndarray | None = None
     ambiguous: np.ndarray | None = None
@@ -42,18 +42,19 @@ class EigenTrajectory:
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.positions = np.asarray(self.positions, dtype=float)
-        if self.positions.ndim != 3:
-            raise ValueError("positions must have shape (T, N, d)")
-        if len(self.times) != self.positions.shape[0]:
+        if self.positions.ndim != 4:
+            raise ValueError("positions must have shape (R, T, N, d)")
+        if len(self.times) != self.positions.shape[1]:
             raise ValueError("times and positions disagree in length")
+        frames = self.positions.shape[:2]
         if self.residuals is None:
-            self.residuals = np.zeros(len(self.times))
+            self.residuals = np.zeros(frames)
         if self.converged is None:
-            self.converged = np.ones(len(self.times), dtype=bool)
+            self.converged = np.ones(frames, dtype=bool)
         if self.sweeps is None:
-            self.sweeps = np.zeros(len(self.times), dtype=int)
+            self.sweeps = np.zeros(frames, dtype=int)
         if self.ambiguous is None:
-            self.ambiguous = np.zeros(len(self.times), dtype=bool)
+            self.ambiguous = np.zeros(frames, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -99,8 +100,6 @@ class FieldEstimate:
     rho: np.ndarray | None = None
     v: np.ndarray | None = None  # shape (ndim, *grid.shape)
     mask: np.ndarray | None = None  # True on usable (occupied) cells
-    bandwidth: float = 0.0
-    n_samples: int = 0
     v_stderr: np.ndarray | None = None  # kernel-regression pointwise error, like v
 
 
@@ -185,31 +184,37 @@ def _match(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
 def track_particles(frames: list, times) -> EigenTrajectory:
     """Chain frame-to-frame minimum-displacement assignments into trajectories.
 
-    A step is flagged ambiguous when some particle's matched displacement
-    exceeds half the distance to its nearest neighbour in the previous
-    frame: there the minimum-displacement match may have swapped identities.
+    frames holds one list of ParticleFrame per replica, each frame at the
+    matching entry of times.  A step is flagged ambiguous when some
+    particle's matched displacement exceeds half the distance to its nearest
+    neighbour in the previous frame: there the minimum-displacement match
+    may have swapped identities.
     """
-    if not frames:
+    if not frames or not frames[0]:
         raise ValueError("no frames")
-    n = frames[0].positions.shape[0]
-    out = [frames[0].positions]
-    for fr in frames[1:]:
-        if fr.positions.shape[0] != n:
-            raise ValueError("particle count changes between frames")
-        p = _match(out[-1], fr.positions)
-        out.append(fr.positions[p])
-    positions = np.stack(out)
-    step = np.linalg.norm(positions[1:] - positions[:-1], axis=2)  # (T-1, N)
-    gap = np.linalg.norm(positions[:-1, :, None] - positions[:-1, None, :], axis=3)
-    gap[:, np.arange(n), np.arange(n)] = np.inf
-    ambiguous = np.any(step > 0.5 * gap.min(axis=2), axis=1)
+    n = frames[0][0].positions.shape[0]
+    tracks, ambiguous = [], []
+    for replica in frames:
+        out = [replica[0].positions]
+        for fr in replica[1:]:
+            if fr.positions.shape[0] != n:
+                raise ValueError("particle count changes between frames")
+            out.append(fr.positions[_match(out[-1], fr.positions)])
+        # One replica at a time: the (R, T, N, N, d) pair differences of
+        # the whole ensemble would dwarf its positions.
+        pos = np.stack(out)
+        step = np.linalg.norm(pos[1:] - pos[:-1], axis=2)  # (T-1, N)
+        gap = np.linalg.norm(pos[:-1, :, None] - pos[:-1, None, :], axis=3)
+        gap[:, np.arange(n), np.arange(n)] = np.inf
+        ambiguous.append(np.concatenate([[False], np.any(step > 0.5 * gap.min(axis=2), axis=1)]))
+        tracks.append(pos)
     return EigenTrajectory(
-        times=np.asarray(times, dtype=float),
-        positions=positions,
-        residuals=np.array([fr.residual for fr in frames]),
-        converged=np.array([fr.converged for fr in frames]),
-        sweeps=np.array([fr.sweeps for fr in frames]),
-        ambiguous=np.concatenate([[False], ambiguous]),
+        times=times,
+        positions=np.stack(tracks),
+        residuals=np.array([[fr.residual for fr in replica] for replica in frames]),
+        converged=np.array([[fr.converged for fr in replica] for replica in frames]),
+        sweeps=np.array([[fr.sweeps for fr in replica] for replica in frames]),
+        ambiguous=np.stack(ambiguous),
     )
 
 
@@ -238,7 +243,7 @@ CURRENT_VELOCITY_MIN_WEIGHT = 1e-3
 
 
 def estimate_current_velocity(
-    trajectories,
+    trajectories: EigenTrajectory,
     query_time,
     grid: Grid,
     bandwidth: float,
@@ -247,29 +252,23 @@ def estimate_current_velocity(
     """Nelson current velocity by kernel regression of symmetric differences.
 
     v(lambda) = E[(x(t+tau) - x(t-tau)) / (2 tau) | x(t) = lambda], estimated
-    with Gaussian weights around each grid cell.  Cells carrying less than
+    with Gaussian weights around each grid cell from the R * N particles of
+    the ensemble at the record nearest query_time; the grid has one axis per
+    particle coordinate (d).  Cells carrying less than
     CURRENT_VELOCITY_MIN_WEIGHT of the peak weight are masked.
     """
     if lag < 1:
         raise ValueError("lag must be >= 1")
-    pos, vel = [], []
-    for tr in trajectories:
-        i = int(np.argmin(np.abs(tr.times - query_time)))
-        if i - lag < 0 or i + lag >= len(tr.times):
-            raise ValueError("insufficient temporal neighbors around query_time")
-        tau2 = tr.times[i + lag] - tr.times[i - lag]
-        p = tr.positions[i]
-        dv = (tr.positions[i + lag] - tr.positions[i - lag]) / tau2
-        if grid.ndim == p.shape[1]:
-            pos.append(p)
-            vel.append(dv)
-        elif grid.ndim == 1:
-            pos.append(p.reshape(-1, 1))
-            vel.append(dv.reshape(-1, 1))
-        else:
-            raise ValueError("grid/data dimension mismatch")
-    pos = np.concatenate(pos, axis=0)
-    vel = np.concatenate(vel, axis=0)
+    times, positions = trajectories.times, trajectories.positions
+    d = positions.shape[3]
+    if grid.ndim != d:
+        raise ValueError("grid/data dimension mismatch")
+    i = int(np.argmin(np.abs(times - query_time)))
+    if i - lag < 0 or i + lag >= len(times):
+        raise ValueError("insufficient temporal neighbors around query_time")
+    tau2 = times[i + lag] - times[i - lag]
+    pos = positions[:, i].reshape(-1, d)
+    vel = ((positions[:, i + lag] - positions[:, i - lag]) / tau2).reshape(-1, d)
 
     w = _kernel_weights(grid, pos, bandwidth)  # (cells, samples)
     wsum = w.sum(axis=1)
@@ -291,8 +290,6 @@ def estimate_current_velocity(
         grid=grid,
         v=v,
         mask=mask.reshape(grid.shape),
-        bandwidth=bandwidth,
-        n_samples=len(pos),
         v_stderr=v_stderr,
     )
 
@@ -376,22 +373,16 @@ def irrotationality_residual(v_field: FieldEstimate) -> float:
 N_BOOTSTRAP = 200
 
 
-def _stack_positions(trajectories):
-    times = trajectories[0].times
-    for tr in trajectories[1:]:
-        if len(tr.times) != len(times) or not np.allclose(tr.times, times):
-            raise ValueError("trajectories must share a common time grid")
-    return times, np.stack([tr.positions for tr in trajectories])  # (R, T, N, d)
-
-
-def estimate_diffusion(trajectories, fit_window: tuple, seed: int = 0) -> DiffusionEstimate:
+def estimate_diffusion(trajectories: EigenTrajectory, fit_window: tuple,
+                       seed: int = 0) -> DiffusionEstimate:
     """Per-coordinate diffusion constant of an ensemble of paths.
 
-    Fits <(dx)^2> = 2 nu tau over the lags inside fit_window after
-    subtracting the ensemble-mean displacement (drift).  The standard error
-    comes from a bootstrap over replicas.
+    Fits <(dx)^2> = 2 nu tau over the lags inside fit_window, on the
+    (R, T, N, d) positions of the ensemble, after subtracting the
+    ensemble-mean displacement (drift).  The standard error comes from a
+    bootstrap over the R replicas.
     """
-    times, pos = _stack_positions(trajectories)
+    times, pos = trajectories.times, trajectories.positions
     R, T, N, _ = pos.shape
     dt = times[1] - times[0]
     tau_min, tau_max = fit_window
@@ -561,36 +552,31 @@ def scaling_sweep(
             record_frames=True,
             project_trace_noise=True,
         )
-        trajectories = []
         try:
             records = run([rec.final_config for rec in burnt], params, measure,
                           [seed["run"] for seed in seeds])
         except NumericsError as e:
             raise e.within(f"sweep N={N}, measurement run") from None
-        for r, rec in enumerate(records):
-            traj = track_particles(rec.frames, rec.times)
-            traj.replica_id = r
-            # Remove the per-frame collective (trace-mode) motion.
-            traj.positions = traj.positions - traj.positions.mean(axis=1, keepdims=True)
-            trajectories.append(traj)
+        # Every replica records at the same times (the runs share t0 and dt).
+        traj = track_particles([rec.frames for rec in records], records[0].times)
+        # Remove the per-frame collective (trace-mode) motion.
+        traj.positions = traj.positions - traj.positions.mean(axis=2, keepdims=True)
 
-        est = estimate_diffusion(trajectories, fit_window, seed=master_seed + int(N))
+        est = estimate_diffusion(traj, fit_window, seed=master_seed + int(N))
         nu_pred = predicted_diffusion(params, s.t_scaled)
 
         # Irrotationality diagnostic at mid-run on a d-dimensional grid.
-        mid_t = trajectories[0].times[len(trajectories[0].times) // 2]
-        all_pos = np.concatenate([tr.positions.reshape(-1, params.d) for tr in trajectories])
+        # SweepSettings guarantees >= 11 records, so the middle one has
+        # neighbours at lag 1.
+        mid_t = traj.times[len(traj.times) // 2]
+        all_pos = traj.positions.reshape(-1, params.d)
         lo = np.percentile(all_pos, 5, axis=0)
         hi = np.percentile(all_pos, 95, axis=0)
         grid = Grid(axes=tuple(
             np.linspace(lo[a], hi[a], IRROT_GRID_POINTS) for a in range(params.d)
         ))
         bw = silverman_bandwidth(all_pos[:, 0])
-        try:
-            v_field = estimate_current_velocity(trajectories, mid_t, grid, bw, lag=1)
-            irrot = irrotationality_residual(v_field)
-        except ValueError:
-            irrot = float("nan")
+        irrot = irrotationality_residual(estimate_current_velocity(traj, mid_t, grid, bw, lag=1))
 
         points.append(ScalingPoint(
             N=int(N),
@@ -601,9 +587,10 @@ def scaling_sweep(
             nu_pred=nu_pred,
             hbar_emergent=emergent_hbar(params, est.nu_hat),
             irrot_residual=irrot,
-            mean_frame_residual=float(np.mean([np.mean(tr.residuals) for tr in trajectories])),
-            nonconverged_frames=int(sum(np.sum(~tr.converged) for tr in trajectories)),
-            ambiguous_steps=int(sum(np.sum(tr.ambiguous) for tr in trajectories)),
-            mean_frame_sweeps=float(np.mean([np.mean(tr.sweeps) for tr in trajectories])),
+            # Means over replicas of per-replica means.
+            mean_frame_residual=float(traj.residuals.mean(axis=1).mean()),
+            nonconverged_frames=int(np.sum(~traj.converged)),
+            ambiguous_steps=int(np.sum(traj.ambiguous)),
+            mean_frame_sweeps=float(traj.sweeps.mean(axis=1).mean()),
         ))
     return points

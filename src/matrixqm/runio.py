@@ -219,7 +219,7 @@ def record_to_csv(record: TrajectoryRecord) -> str:
     whether its Jacobi iteration converged (1) or hit its iteration cap (0),
     and its number of Jacobi iterations."""
     d = record.com_momenta.shape[1]
-    N = record.spectra[0].lam.shape[1]
+    N = record.spectra.shape[2]
     cols = ["time", "K", "U"]
     cols += [f"p_{a}" for a in range(d)]
     cols += [f"lam_{a}_{i}" for a in range(d) for i in range(N)]
@@ -231,7 +231,7 @@ def record_to_csv(record: TrajectoryRecord) -> str:
     for idx in range(len(record.times)):
         row = [record.times[idx], record.energies[idx, 0], record.energies[idx, 1]]
         row += list(record.com_momenta[idx])
-        row += list(record.spectra[idx].lam.ravel())
+        row += list(record.spectra[idx].ravel())
         if with_frames:
             fr = record.frames[idx]
             row += list(fr.positions.ravel())

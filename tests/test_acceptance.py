@@ -120,13 +120,13 @@ def test_criterion_03_gauge_translation_invariance():
     u0 = potential_energy(cfg, p)
     cfg = MatrixConfiguration(X=cfg.X, V=random_config(p, spread=0.2, seed=18).X)
     k0 = kinetic_energy(cfg, p)
-    lam0 = eigenvalues(cfg).lam
+    lam0 = eigenvalues(cfg)
     for _ in range(100):
         O = random_special_orthogonal(6, rng)
         cfg2 = gauge_transform(cfg, O)
         assert abs(potential_energy(cfg2, p) - u0) / max(abs(u0), 1.0) < 1e-9
         assert abs(kinetic_energy(cfg2, p) - k0) / max(abs(k0), 1.0) < 1e-9
-        assert np.max(np.abs(eigenvalues(cfg2).lam - lam0)) < 1e-9
+        assert np.max(np.abs(eigenvalues(cfg2) - lam0)) < 1e-9
     shifted = translate(cfg, np.array([1.3, -0.4]))
     assert abs(potential_energy(shifted, p) - u0) / max(abs(u0), 1.0) < 1e-13
     assert np.max(np.abs(force(shifted, p) - force(cfg, p))) < 1e-12
@@ -180,8 +180,7 @@ def test_criterion_05_estimator_calibration():
     rng = np.random.default_rng(7)
     paths = np.cumsum(rng.normal(0, np.sqrt(2 * nu_true * dt), (R, T)), axis=1)
     times = np.arange(T) * dt
-    trajs = [EigenTrajectory(times=times, positions=paths[r][:, None, None],
-                             replica_id=r) for r in range(R)]
+    trajs = EigenTrajectory(times=times, positions=paths[:, :, None, None])
     est = estimate_diffusion(trajs, (5 * dt, 50 * dt))
     rel = abs(est.nu_hat - nu_true) / nu_true
     assert rel < 0.02, f"brownian nu rel err {rel:.4f}"
@@ -196,8 +195,7 @@ def test_criterion_05_estimator_calibration():
     for k in range(1, T2):
         xs[:, k] = xs[:, k - 1] * (1 - theta * dt) + rng.normal(
             0, np.sqrt(2 * nu * dt), R2)
-    trajs2 = [EigenTrajectory(times=times[:T2], positions=xs[r][:, None, None],
-                              replica_id=r) for r in range(R2)]
+    trajs2 = EigenTrajectory(times=times[:T2], positions=xs[:, :, None, None])
     grid = Grid.regular(-2 * sigma0, 2 * sigma0, 25)
     vf = estimate_current_velocity(trajs2, times[T2 // 2], grid, 0.4, lag=5)
     g = grid.axes[0][vf.mask.ravel()]

@@ -1,6 +1,9 @@
 """End-to-end command-line tests: artifacts, exit codes, overrides,
 and byte-identical re-execution from manifests."""
 
+import importlib
+import importlib.util
+import inspect
 import json
 import os
 import re
@@ -147,6 +150,23 @@ class TestSimulate:
         a = open(os.path.join(out1, "record_000.csv"), "rb").read()
         b = open(os.path.join(out2, "record_000.csv"), "rb").read()
         assert a == b
+
+    def test_manifest_reexecution_byte_identical_at_n20(self, tmp_path):
+        # N = 20 is one of the sizes (N = 1-4 mod 8, N >= 17) where the
+        # force's bits depend on the BLAS; a re-run on the same host must
+        # still reproduce every record.
+        doc = {**BASE_CONFIG, "model": {**BASE_CONFIG["model"], "N": 20},
+               "integrator": {**BASE_CONFIG["integrator"], "steps": 20}}
+        cfg = write_config(tmp_path, doc)
+        out1 = os.path.join(tmp_path, "o1")
+        out2 = os.path.join(tmp_path, "o2")
+        assert main(["simulate", "--config", cfg, "--out", out1]) == EXIT_OK
+        manifest = os.path.join(out1, "manifest.json")
+        assert main(["simulate", "--config", manifest, "--out", out2]) == EXIT_OK
+        for name in ("record_000.csv", "record_001.csv"):
+            a = open(os.path.join(out1, name), "rb").read()
+            b = open(os.path.join(out2, name), "rb").read()
+            assert a == b
 
 
 # (command, section, key, value): values rejected by the runtime type's own
@@ -483,3 +503,64 @@ def test_no_command_loads_scipy(tmp_path):
     loaded = json.loads(proc.stdout)
     for step in ("import", "simulate", "oracle", "compare", "calibrate", "sweep"):
         assert loaded[step] == [], step
+
+
+# The benchmark's tracer rebinds named functions of every matrixqm module and
+# reads some of their parameters by position and name.  Tier-1 runs only
+# tests/, so these tests run the unmodified tracer: renaming a traced function
+# or a hooked parameter fails here, not only in a traced benchmark run.
+TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "perfbench", "tracer.py")
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("matrixqm_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_names_and_hooked_parameters_resolve():
+    tracer = load_tracer()
+    hooked = 0
+    for mod_name, funcs in tracer.TRACED.items():
+        mod = importlib.import_module(f"matrixqm.{mod_name}")
+        for fn_name, hook in funcs.items():
+            fn = getattr(mod, fn_name)  # AttributeError names a removed function
+            if hook is None:
+                continue
+            params = list(inspect.signature(fn).parameters)
+            for pos, name in re.findall(r'_arg\(args, kwargs, (\d+), "(\w+)"\)',
+                                        inspect.getsource(hook)):
+                assert params[int(pos)] == name, (f"{mod_name}.{fn_name}", pos, name)
+                hooked += 1
+    assert hooked >= 8
+
+
+def test_tracer_runs_every_command(tmp_path):
+    out = str(tmp_path / "out")
+    sim = write_config(tmp_path, {**BASE_CONFIG, "integrator": {
+        **BASE_CONFIG["integrator"], "steps": 20}}, "sim.json")
+    orc = write_config(tmp_path, {"oracle": {"grid_points": 48, "walkers": 200}}, "orc.json")
+    swp = write_config(tmp_path, {"sweep": {
+        "N_list": [3], "replicas": 2, "burn_in_steps": 10, "steps": 50, "record_every": 5}},
+        "swp.json")
+    argvs = [
+        ["simulate", "--config", sim, "--out", out],
+        ["sweep", "--config", swp, "--out", out],
+        ["oracle", "--config", orc, "--out", out],
+        ["compare", "--config", sim, "--out", out,
+         os.path.join(out, "record_000.csv"), os.path.join(out, "oracle_psi.csv")],
+    ]
+    seen = set()
+    for argv in argvs:
+        spans = str(tmp_path / f"spans_{argv[0]}.json")
+        proc = subprocess.run([sys.executable, TRACER, spans, *argv], env=fresh_env(),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == EXIT_OK, (argv[0], proc.stderr)
+        seen |= {span[0] for span in json.load(open(spans))["spans"]}
+    for name in ("dynamics.run", "core.joint_diagonalize", "estimators.track_particles",
+                 "estimators.estimate_diffusion", "estimators.estimate_current_velocity",
+                 "oracle.nelson_evolve", "oracle.walker_density", "runio.record_to_csv",
+                 "runio.load_record_csv"):
+        assert name in seen, name

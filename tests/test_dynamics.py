@@ -146,9 +146,7 @@ class TestLangevin:
                                  gamma=0.5, temperature=0.2)
         r1 = run([cfg], p, integ, [42])[0]
         r2 = run([cfg], p, integ, [42])[0]
-        lam1 = np.stack([s.lam for s in r1.spectra])
-        lam2 = np.stack([s.lam for s in r2.spectra])
-        assert np.array_equal(lam1, lam2)
+        assert np.array_equal(r1.spectra, r2.spectra)
         assert np.array_equal(r1.energies, r2.energies)
 
 
@@ -172,7 +170,7 @@ class TestRunPlumbing:
                                  record_every=10, record_frames=True)
         rec = run([cfg], p, integ)[0]
         assert rec.times.shape == (11,)
-        assert np.stack([s.lam for s in rec.spectra]).shape == (11, 2, 3)
+        assert rec.spectra.shape == (11, 2, 3)
         assert rec.energies.shape == (11, 2)
         assert rec.com_momenta.shape == (11, 2)
         assert len(rec.frames) == 11
@@ -239,8 +237,7 @@ BATCH_CASES = st.tuples(
 
 def assert_records_equal(a, b):
     assert np.array_equal(a.times, b.times)
-    assert np.array_equal(np.stack([s.lam for s in a.spectra]),
-                          np.stack([s.lam for s in b.spectra]))
+    assert np.array_equal(a.spectra, b.spectra)
     assert np.array_equal(a.energies, b.energies)
     assert np.array_equal(a.com_momenta, b.com_momenta)
     assert np.array_equal(a.final_config.X, b.final_config.X)
@@ -269,6 +266,20 @@ class TestReplicaBatching:
         seeds = [seed, seed + 1, seed]
         together = run(cfgs, p, integ, seeds)
         assert len(together) == 3
+        for r in range(3):
+            assert_records_equal(together[r], run([cfgs[r]], p, integ, [seeds[r]])[0])
+
+    @pytest.mark.parametrize("N", [17, 20, 24, 32])
+    @pytest.mark.parametrize("mode", ["microcanonical", "langevin"])
+    def test_each_replica_as_if_alone_at_large_n(self, N, mode):
+        # Sizes where the force's bits depend on the BLAS (see
+        # TestStackedForce); a replica's record must not depend on R.
+        p = ModelParams(d=2, N=N)
+        integ = IntegratorConfig(mode=mode, dt=0.01, steps=6, gamma=0.5, temperature=0.3,
+                                 record_every=3, record_frames=True, project_trace_noise=True)
+        cfgs = moving_configs(p, 3, N)
+        seeds = [N, N + 1, N]
+        together = run(cfgs, p, integ, seeds)
         for r in range(3):
             assert_records_equal(together[r], run([cfgs[r]], p, integ, [seeds[r]])[0])
 
@@ -330,8 +341,7 @@ class TestReferenceKernels:
             snapshots, (t_end, X_end, V_end) = reference_run(cfg, p, integ, cfg_seed)
             ref = [MatrixConfiguration(X=X, V=V, time=t) for t, X, V in snapshots]
             assert np.array_equal(rec.times, [c.time for c in ref])
-            assert np.array_equal(np.stack([s.lam for s in rec.spectra]),
-                                  np.stack([eigenvalues(c).lam for c in ref]))
+            assert np.array_equal(rec.spectra, [eigenvalues(c) for c in ref])
             assert np.array_equal(rec.energies, [(kinetic_energy(c, p), potential_energy(c, p))
                                                  for c in ref])
             assert np.array_equal(rec.com_momenta, [com_momentum(c, p) for c in ref])

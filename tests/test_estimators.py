@@ -36,8 +36,7 @@ def brownian_trajectories(nu, R, T, dt, seed, x0=None):
         steps[:, 0] = 0.0
     paths = np.cumsum(steps, axis=1)
     times = np.arange(T) * dt
-    return [EigenTrajectory(times=times, positions=paths[r], replica_id=r)
-            for r in range(R)]
+    return EigenTrajectory(times=times, positions=paths)
 
 
 def ou_trajectories(theta, nu, R, T, dt, seed, sigma0):
@@ -48,8 +47,7 @@ def ou_trajectories(theta, nu, R, T, dt, seed, sigma0):
         xs[:, k] = xs[:, k - 1] * (1 - theta * dt) + rng.normal(
             0.0, np.sqrt(2 * nu * dt), size=R)
     times = np.arange(T) * dt
-    return [EigenTrajectory(times=times, positions=xs[r][:, None, None],
-                            replica_id=r) for r in range(R)]
+    return EigenTrajectory(times=times, positions=xs[:, :, None, None])
 
 
 class TestGrid:
@@ -74,9 +72,9 @@ class TestTracking:
         frames = [ParticleFrame(positions=pos.copy(), residual=0.0,
                                 frame=np.eye(3), converged=True)
                   for _ in range(4)]
-        trajs = track_particles(frames, np.arange(4.0))
-        assert trajs.positions.shape == (4, 3, 2)
-        assert np.array_equal(trajs.positions[0], trajs.positions[-1])
+        trajs = track_particles([frames], np.arange(4.0))
+        assert trajs.positions.shape == (1, 4, 3, 2)
+        assert np.array_equal(trajs.positions[0, 0], trajs.positions[0, -1])
 
     def test_crossing_resolved_by_distance(self):
         # Two particles drift toward and past each other; nearest-neighbour
@@ -90,8 +88,8 @@ class TestTracking:
             pos = np.stack(sorted([a, b], key=lambda r: (r[0], r[1])))
             frames.append(ParticleFrame(positions=pos, residual=0.0,
                                         frame=np.eye(2), converged=True))
-        trajs = track_particles(frames, times)
-        jumps = np.max(np.abs(np.diff(trajs.positions, axis=0)))
+        trajs = track_particles([frames], times)
+        jumps = np.max(np.abs(np.diff(trajs.positions, axis=1)))
         assert jumps < 0.2  # no label swap (a swap would jump by ~2)
 
     def test_convergence_flags_and_residuals_carried(self):
@@ -100,10 +98,10 @@ class TestTracking:
         flags = [True, False, True]
         frames = [ParticleFrame(positions=pos, residual=0.1 * k, frame=np.eye(2),
                                 converged=c, sweeps=k + 4) for k, c in enumerate(flags)]
-        trajs = track_particles(frames, np.arange(3.0))
-        assert trajs.converged.tolist() == flags
-        assert np.array_equal(trajs.residuals, [0.0, 0.1, 0.2])
-        assert trajs.sweeps.tolist() == [4, 5, 6]
+        trajs = track_particles([frames], np.arange(3.0))
+        assert trajs.converged.tolist() == [flags]
+        assert np.array_equal(trajs.residuals, [[0.0, 0.1, 0.2]])
+        assert trajs.sweeps.tolist() == [[4, 5, 6]]
 
     def test_match_is_optimal_beyond_64_particles(self):
         # 33 far-apart pairs at (10k, 0) and (10k + 1, 0) move by +0.9 along x.
@@ -124,16 +122,29 @@ class TestTracking:
         xs = [[0.0, 1.0, 3.0], [0.9, 1.2, 3.0], [0.95, 1.25, 3.05]]
         frames = [ParticleFrame(positions=np.array(x)[:, None], residual=0.0,
                                 frame=np.eye(3)) for x in xs]
-        trajs = track_particles(frames, np.arange(3.0))
-        assert trajs.ambiguous.tolist() == [False, True, False]
-        assert np.array_equal(trajs.positions[1, :, 0], [0.9, 1.2, 3.0])
+        trajs = track_particles([frames], np.arange(3.0))
+        assert trajs.ambiguous.tolist() == [[False, True, False]]
+        assert np.array_equal(trajs.positions[0, 1, :, 0], [0.9, 1.2, 3.0])
+
+    def test_replicas_tracked_independently(self):
+        # Each replica of an ensemble is tracked as it would be alone.
+        rng = np.random.default_rng(13)
+        ensemble = [[ParticleFrame(positions=rng.normal(size=(6, 2)), residual=0.1 * r,
+                                   frame=np.eye(6), converged=bool(k % 2), sweeps=k)
+                     for k in range(5)] for r in range(3)]
+        trajs = track_particles(ensemble, np.arange(5.0))
+        assert trajs.positions.shape == (3, 5, 6, 2)
+        for r, frames in enumerate(ensemble):
+            alone = track_particles([frames], np.arange(5.0))
+            for name in ("positions", "residuals", "converged", "sweeps", "ambiguous"):
+                assert np.array_equal(getattr(trajs, name)[r], getattr(alone, name)[0]), name
 
     def test_no_ambiguous_steps_for_small_moves(self):
         rng = np.random.default_rng(12)
         base = np.sort(rng.uniform(0, 10, size=(12, 2)), axis=0)
         frames = [ParticleFrame(positions=base + 1e-3 * rng.normal(size=base.shape),
                                 residual=0.0, frame=np.eye(12)) for _ in range(5)]
-        trajs = track_particles(frames, np.arange(5.0))
+        trajs = track_particles([frames], np.arange(5.0))
         assert not trajs.ambiguous.any()
 
 
@@ -187,8 +198,7 @@ class TestCurrentVelocity:
         rng = np.random.default_rng(8)
         x0 = rng.normal(0, 1, R)
         pos = x0[:, None] + c * times[None, :]
-        trajs = [EigenTrajectory(times=times, positions=pos[r][:, None, None],
-                                 replica_id=r) for r in range(R)]
+        trajs = EigenTrajectory(times=times, positions=pos[:, :, None, None])
         grid = Grid.regular(-2, 2, 17)
         vf = estimate_current_velocity(trajs, times[T // 2], grid, 0.3)
         assert np.allclose(vf.v[0][vf.mask], c, atol=1e-9)
@@ -278,10 +288,8 @@ class TestDiffusion:
 
     def test_linear_motion_zero(self):
         times = np.arange(100) * 0.01
-        trajs = [EigenTrajectory(times=times,
-                                 positions=(0.3 * r + 2.0 * times)[:, None, None],
-                                 replica_id=r)
-                 for r in np.arange(8.0)]
+        positions = 0.3 * np.arange(8.0)[:, None] + 2.0 * times
+        trajs = EigenTrajectory(times=times, positions=positions[:, :, None, None])
         est = estimate_diffusion(trajs, (0.05, 0.5))
         assert est.nu_hat < 1e-20
 

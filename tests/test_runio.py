@@ -179,8 +179,7 @@ class TestCsv:
         cols = load_record_csv(record_to_csv(rec))
         assert np.array_equal(cols["time"], rec.times)
         assert np.array_equal(cols["K"], rec.energies[:, 0])
-        assert np.array_equal(cols["lam_1_2"],
-                              np.stack([s.lam for s in rec.spectra])[:, 1, 2])
+        assert np.array_equal(cols["lam_1_2"], rec.spectra[:, 1, 2])
 
     def test_frames_columns_present(self):
         rec = self.make_record(frames=True)
