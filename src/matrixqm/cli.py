@@ -265,14 +265,19 @@ def cmd_calibrate(cfg, args) -> dict:
     # process has identically zero current velocity), so start broad and query
     # early, while the contraction toward equilibrium is still in progress.
     theta, nu = 1.0, 0.2
+
+    def ou_paths(R, T, sigma0):
+        """R Euler-Maruyama OU paths of T records, started from N(0, sigma0^2)."""
+        xs = np.zeros((R, T))
+        xs[:, 0] = rng.normal(0.0, sigma0, size=R)
+        for k in range(1, T):
+            xs[:, k] = xs[:, k - 1] * (1 - theta * dt) + rng.normal(
+                0.0, np.sqrt(2 * nu * dt), size=R)
+        return EigenTrajectory(times=times[:T], positions=xs[:, :, None, None])
+
     R, T = 2000, 60
     sigma0 = np.sqrt(100.0 * nu / theta)
-    xs = np.zeros((R, T))
-    xs[:, 0] = rng.normal(0.0, sigma0, size=R)
-    for k in range(1, T):
-        xs[:, k] = xs[:, k - 1] * (1 - theta * dt) + rng.normal(
-            0.0, np.sqrt(2 * nu * dt), size=R)
-    trajs = EigenTrajectory(times=times[:T], positions=xs[:, :, None, None])
+    trajs = ou_paths(R, T, sigma0)
     grid = Grid.regular(-2 * sigma0, 2 * sigma0, 25)
     vf = estimate_current_velocity(trajs, times[T // 2], grid, 0.4, lag=5)
     g = grid.axes[0][vf.mask.ravel()]
@@ -284,14 +289,7 @@ def cmd_calibrate(cfg, args) -> dict:
     # OU diffusion recovery from a stationary ensemble.  Here the ensemble must
     # *be* stationary (else the contraction flow contaminates the displacement
     # statistics) and the fit window short relative to 1/theta.
-    R, T = 400, 200
-    xs = np.zeros((R, T))
-    xs[:, 0] = rng.normal(0.0, np.sqrt(nu / theta), size=R)
-    for k in range(1, T):
-        xs[:, k] = xs[:, k - 1] * (1 - theta * dt) + rng.normal(
-            0.0, np.sqrt(2 * nu * dt), size=R)
-    trajs = EigenTrajectory(times=times[:T], positions=xs[:, :, None, None])
-    est = estimate_diffusion(trajs, (1 * dt, 10 * dt))
+    est = estimate_diffusion(ou_paths(400, 200, np.sqrt(nu / theta)), (1 * dt, 10 * dt))
     report["ou_diffusion"] = {"nu_true": nu, "nu_hat": est.nu_hat,
                               "stderr": est.stderr,
                               "rel_error": abs(est.nu_hat - nu) / nu}

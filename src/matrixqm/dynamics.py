@@ -89,19 +89,31 @@ class IntegratorConfig:
 @dataclass
 class TrajectoryRecord:
     """One replica's n recorded states: times (n,), the per-direction
-    eigenvalues of each state as spectra (n, d, N), energies and momenta."""
+    eigenvalues of each state as spectra (n, d, N), energies and momenta.
+
+    With record_frames, each state's joint diagonalization (see
+    core.joint_diagonalize) is kept as arrays: its particle positions
+    (n, N, d), off-diagonal residual (n,), convergence flag (n,) and Jacobi
+    iteration count (n,).  Without, all four are None.  The diagonalizing
+    frames themselves are gauge and are not kept.
+    """
 
     times: np.ndarray
     spectra: np.ndarray  # (n, d, N), ascending per direction
     energies: np.ndarray  # (n, 2): columns K, U
     com_momenta: np.ndarray  # (n, d)
-    frames: list | None = None  # list[ParticleFrame] when recorded
+    positions: np.ndarray | None = None  # (n, N, d), sorted lexicographically per state
+    residuals: np.ndarray | None = None  # (n,)
+    converged: np.ndarray | None = None  # (n,) bool
+    sweeps: np.ndarray | None = None  # (n,) int
     final_config: MatrixConfiguration | None = None  # for chaining runs; not serialized
 
     def __post_init__(self):
         n = len(self.times)
-        if len(self.spectra) != n or len(self.energies) != n or len(self.com_momenta) != n:
-            raise ValueError("record lists must share a common length")
+        rows = (self.spectra, self.energies, self.com_momenta,
+                self.positions, self.residuals, self.converged, self.sweeps)
+        if any(a is not None and len(a) != n for a in rows):
+            raise ValueError("record arrays must share a common length")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
 
@@ -253,24 +265,6 @@ def step_langevin(
     return MatrixConfiguration(X=X, V=V, time=config.time + dt)
 
 
-class _Recorder:
-    """One replica's observables, appended at every recorded step."""
-
-    def __init__(self, with_frames: bool):
-        self.times, self.spectra, self.energies, self.momenta = [], [], [], []
-        self.frames = [] if with_frames else None
-
-    def add(self, cfg: MatrixConfiguration, params: ModelParams):
-        self.times.append(cfg.time)
-        self.spectra.append(eigenvalues(cfg))
-        self.energies.append((kinetic_energy(cfg, params), potential_energy(cfg, params)))
-        self.momenta.append(com_momentum(cfg, params))
-        if self.frames is not None:
-            # Warm start from this replica's previous frame.
-            prev = self.frames[-1].frame if self.frames else None
-            self.frames.append(joint_diagonalize(cfg, initial_frame=prev))
-
-
 def run(
     configs: list,
     params: ModelParams,
@@ -283,21 +277,49 @@ def run(
     configs[r] draws its Langevin noise from default_rng(seeds[r]) (all 0 when
     seeds is None); microcanonical runs draw no random numbers.  The replicas
     are stepped as one (R, d, N, N) stack, and every replica's record is
-    bitwise the one it gets when run alone.
+    bitwise the one it gets when run alone.  Each record array is allocated
+    once, stacked over replicas, and each replica's record holds its slices.
+    A replica's joint diagonalization warm-starts from the frame of its own
+    previous recorded state, the only frame kept.
     """
     seeds = [0] * len(configs) if seeds is None else list(seeds)
     if len(seeds) != len(configs):
         raise ValueError(f"{len(configs)} configs but {len(seeds)} seeds")
     if not configs:
         return []
-    cfgs = [c.copy() for c in configs]
-    recorders = [_Recorder(integ.record_frames) for _ in cfgs]
-    for rec, cfg in zip(recorders, cfgs):
-        rec.add(cfg, params)
+    R, d, N = len(configs), params.d, params.N
+    n = integ.steps // integ.record_every + 1
+    stacks = {"times": np.empty((R, n)), "spectra": np.empty((R, n, d, N)),
+              "energies": np.empty((R, n, 2)), "com_momenta": np.empty((R, n, d))}
+    if integ.record_frames:
+        stacks.update(positions=np.empty((R, n, N, d)), residuals=np.empty((R, n)),
+                      converged=np.empty((R, n), dtype=bool), sweeps=np.empty((R, n), dtype=int))
+    warm = [None] * R  # each replica's last Jacobi frame
 
+    def record(k, times):
+        for r in range(R):
+            # The steps update X and V in place: MatrixConfiguration's
+            # symmetrize copies X[r] and V[r], which keeps records intact.
+            cfg = MatrixConfiguration(X=X[r], V=V[r], time=times[r])
+            # The energies come first: they raise ShapeError if cfg and
+            # params disagree, before a row assignment fails on the shape.
+            stacks["energies"][r, k] = kinetic_energy(cfg, params), potential_energy(cfg, params)
+            stacks["times"][r, k] = cfg.time
+            stacks["spectra"][r, k] = eigenvalues(cfg)
+            stacks["com_momenta"][r, k] = com_momentum(cfg, params)
+            if integ.record_frames:
+                fr = joint_diagonalize(cfg, initial_frame=warm[r])
+                warm[r] = fr.frame
+                stacks["positions"][r, k] = fr.positions
+                stacks["residuals"][r, k] = fr.residual
+                stacks["converged"][r, k] = fr.converged
+                stacks["sweeps"][r, k] = fr.sweeps
+
+    cfgs = [c.copy() for c in configs]
     X = np.stack([c.X for c in cfgs])
     V = np.stack([c.V for c in cfgs])
     t0 = [c.time for c in cfgs]
+    record(0, t0)
     f = _stacked_force(X, params)
     if integ.mode == LANGEVIN:
         rngs = [np.random.default_rng(s) for s in seeds]
@@ -310,26 +332,18 @@ def run(
             else:
                 f = _langevin_raw(X, V, f, params, integ.dt, o, rngs)
             if not np.isfinite(f).all():
-                r = int(np.argmin(np.isfinite(f).reshape(len(cfgs), -1).all(axis=1)))
+                r = int(np.argmin(np.isfinite(f).reshape(R, -1).all(axis=1)))
                 k = float(np.nansum(V[r] * V[r])) * params.mu
                 raise NumericsError(step, f"non-finite matrix entry (K~{k:.3g}); reduce dt", r)
             if step % integ.record_every == 0:
-                for r, rec in enumerate(recorders):
-                    # The steps update X and V in place: MatrixConfiguration's
-                    # symmetrize copies X[r] and V[r], which keeps records intact.
-                    rec.add(MatrixConfiguration(X=X[r], V=V[r], time=t0[r] + step * integ.dt),
-                            params)
+                record(step // integ.record_every, [t + step * integ.dt for t in t0])
 
     return [
         TrajectoryRecord(
-            times=np.array(rec.times),
-            spectra=np.array(rec.spectra),
-            energies=np.array(rec.energies),
-            com_momenta=np.array(rec.momenta),
-            frames=rec.frames,
+            **{name: a[r] for name, a in stacks.items()},
             final_config=MatrixConfiguration(X=X[r], V=V[r], time=t0[r] + integ.steps * integ.dt),
         )
-        for r, rec in enumerate(recorders)
+        for r in range(R)
     ]
 
 

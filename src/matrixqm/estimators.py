@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ModelParams, ParticleFrame, random_config
+from .core import ModelParams, random_config
 from .dynamics import LANGEVIN, IntegratorConfig, NumericsError, run
 
 
@@ -24,19 +24,13 @@ class EigenTrajectory:
     """Identity-matched particle positions of an ensemble on one time axis.
 
     times has shape (T,) and positions (R, T, N, d): replica r's particle i
-    at times[k] is positions[r, k, i].  The per-frame diagnostics have shape
-    (R, T): residuals is the joint diagonalization off-diagonal norm,
-    converged the convergence flag, sweeps the Jacobi iteration count and
-    ambiguous whether the step into the frame was an ambiguous match (see
-    track_particles; False at frame 0).  For synthetic data they default to
-    zeros, all True, zeros and all False.
+    at times[k] is positions[r, k, i].  ambiguous (R, T) flags the frames
+    whose step in was an ambiguous match (see track_particles; False at
+    frame 0).  For synthetic data it defaults to all False.
     """
 
     times: np.ndarray
     positions: np.ndarray
-    residuals: np.ndarray | None = None
-    converged: np.ndarray | None = None
-    sweeps: np.ndarray | None = None
     ambiguous: np.ndarray | None = None
 
     def __post_init__(self):
@@ -46,15 +40,8 @@ class EigenTrajectory:
             raise ValueError("positions must have shape (R, T, N, d)")
         if len(self.times) != self.positions.shape[1]:
             raise ValueError("times and positions disagree in length")
-        frames = self.positions.shape[:2]
-        if self.residuals is None:
-            self.residuals = np.zeros(frames)
-        if self.converged is None:
-            self.converged = np.ones(frames, dtype=bool)
-        if self.sweeps is None:
-            self.sweeps = np.zeros(frames, dtype=int)
         if self.ambiguous is None:
-            self.ambiguous = np.zeros(frames, dtype=bool)
+            self.ambiguous = np.zeros(self.positions.shape[:2], dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -97,7 +84,6 @@ class FieldEstimate:
     """Gridded density / velocity fields with estimation metadata."""
 
     grid: Grid
-    rho: np.ndarray | None = None
     v: np.ndarray | None = None  # shape (ndim, *grid.shape)
     mask: np.ndarray | None = None  # True on usable (occupied) cells
     v_stderr: np.ndarray | None = None  # kernel-regression pointwise error, like v
@@ -181,25 +167,24 @@ def _match(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
     return _assign(np.sum((prev[:, None, :] - cur[None, :, :]) ** 2, axis=2))
 
 
-def track_particles(frames: list, times) -> EigenTrajectory:
+def track_particles(positions: np.ndarray, times) -> EigenTrajectory:
     """Chain frame-to-frame minimum-displacement assignments into trajectories.
 
-    frames holds one list of ParticleFrame per replica, each frame at the
-    matching entry of times.  A step is flagged ambiguous when some
-    particle's matched displacement exceeds half the distance to its nearest
-    neighbour in the previous frame: there the minimum-displacement match
-    may have swapped identities.
+    positions (R, T, N, d) holds each replica's particle positions at each
+    entry of times, in the order of joint diagonalization (sorted per frame,
+    so row i need not be the same particle in two frames).  A step is flagged
+    ambiguous when some particle's matched displacement exceeds half the
+    distance to its nearest neighbour in the previous frame: there the
+    minimum-displacement match may have swapped identities.
     """
-    if not frames or not frames[0]:
-        raise ValueError("no frames")
-    n = frames[0][0].positions.shape[0]
+    if positions.ndim != 4 or 0 in positions.shape[:2]:
+        raise ValueError("no frames: positions must have shape (R, T, N, d) with R, T >= 1")
+    n = positions.shape[2]
     tracks, ambiguous = [], []
-    for replica in frames:
-        out = [replica[0].positions]
-        for fr in replica[1:]:
-            if fr.positions.shape[0] != n:
-                raise ValueError("particle count changes between frames")
-            out.append(fr.positions[_match(out[-1], fr.positions)])
+    for replica in positions:
+        out = [replica[0]]
+        for cur in replica[1:]:
+            out.append(cur[_match(out[-1], cur)])
         # One replica at a time: the (R, T, N, N, d) pair differences of
         # the whole ensemble would dwarf its positions.
         pos = np.stack(out)
@@ -208,14 +193,7 @@ def track_particles(frames: list, times) -> EigenTrajectory:
         gap[:, np.arange(n), np.arange(n)] = np.inf
         ambiguous.append(np.concatenate([[False], np.any(step > 0.5 * gap.min(axis=2), axis=1)]))
         tracks.append(pos)
-    return EigenTrajectory(
-        times=times,
-        positions=np.stack(tracks),
-        residuals=np.array([[fr.residual for fr in replica] for replica in frames]),
-        converged=np.array([[fr.converged for fr in replica] for replica in frames]),
-        sweeps=np.array([[fr.sweeps for fr in replica] for replica in frames]),
-        ambiguous=np.stack(ambiguous),
-    )
+    return EigenTrajectory(times=times, positions=np.stack(tracks), ambiguous=np.stack(ambiguous))
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +278,7 @@ def continuity_residual(rho_series, v_field: FieldEstimate, dt_between: float) -
     rho_series holds 2 or 3 density snapshots separated by dt_between
     (3 snapshots give a centered time derivative at the middle one).
     """
-    rhos = [r.rho if isinstance(r, FieldEstimate) else np.asarray(r) for r in rho_series]
+    rhos = [np.asarray(r) for r in rho_series]
     if len(rhos) < 2:
         raise ValueError("need at least 2 density snapshots")
     grid = v_field.grid
@@ -557,8 +535,11 @@ def scaling_sweep(
                           [seed["run"] for seed in seeds])
         except NumericsError as e:
             raise e.within(f"sweep N={N}, measurement run") from None
+        positions, residuals, converged, sweeps = (
+            np.stack([getattr(rec, name) for rec in records])
+            for name in ("positions", "residuals", "converged", "sweeps"))
         # Every replica records at the same times (the runs share t0 and dt).
-        traj = track_particles([rec.frames for rec in records], records[0].times)
+        traj = track_particles(positions, records[0].times)
         # Remove the per-frame collective (trace-mode) motion.
         traj.positions = traj.positions - traj.positions.mean(axis=2, keepdims=True)
 
@@ -588,9 +569,9 @@ def scaling_sweep(
             hbar_emergent=emergent_hbar(params, est.nu_hat),
             irrot_residual=irrot,
             # Means over replicas of per-replica means.
-            mean_frame_residual=float(traj.residuals.mean(axis=1).mean()),
-            nonconverged_frames=int(np.sum(~traj.converged)),
+            mean_frame_residual=float(residuals.mean(axis=1).mean()),
+            nonconverged_frames=int(np.sum(~converged)),
             ambiguous_steps=int(np.sum(traj.ambiguous)),
-            mean_frame_sweeps=float(traj.sweeps.mean(axis=1).mean()),
+            mean_frame_sweeps=float(sweeps.mean(axis=1).mean()),
         ))
     return points

@@ -223,7 +223,7 @@ def record_to_csv(record: TrajectoryRecord) -> str:
     cols = ["time", "K", "U"]
     cols += [f"p_{a}" for a in range(d)]
     cols += [f"lam_{a}_{i}" for a in range(d) for i in range(N)]
-    with_frames = record.frames is not None
+    with_frames = record.positions is not None
     if with_frames:
         cols += [f"pos_{i}_{a}" for i in range(N) for a in range(d)]
         cols += ["jd_residual", "jd_converged", "jd_sweeps"]
@@ -233,9 +233,8 @@ def record_to_csv(record: TrajectoryRecord) -> str:
         row += list(record.com_momenta[idx])
         row += list(record.spectra[idx].ravel())
         if with_frames:
-            fr = record.frames[idx]
-            row += list(fr.positions.ravel())
-            row += [fr.residual, int(fr.converged), fr.sweeps]
+            row += list(record.positions[idx].ravel())
+            row += [record.residuals[idx], int(record.converged[idx]), record.sweeps[idx]]
         lines.append(",".join(_fmt(x) for x in row))
     return "\n".join(lines) + "\n"
 

@@ -213,7 +213,7 @@ def test_criterion_05_estimator_calibration():
             r = np.exp(-(x - c * t) ** 2 / (2 * sigma**2))
             return r / (r.sum() * grid.cell_volume)
 
-        estf = FieldEstimate(grid=grid, rho=rho_at(0.0), v=np.full((1, n), c),
+        estf = FieldEstimate(grid=grid, v=np.full((1, n), c),
                              mask=np.ones(n, dtype=bool))
         return continuity_residual([rho_at(-dtc), rho_at(0.0), rho_at(dtc)],
                                    estf, dtc)

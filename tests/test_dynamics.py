@@ -12,6 +12,7 @@ from matrixqm.core import (
     ModelParams,
     com_momentum,
     eigenvalues,
+    joint_diagonalize,
     kinetic_energy,
     potential_energy,
     random_config,
@@ -173,7 +174,8 @@ class TestRunPlumbing:
         assert rec.spectra.shape == (11, 2, 3)
         assert rec.energies.shape == (11, 2)
         assert rec.com_momenta.shape == (11, 2)
-        assert len(rec.frames) == 11
+        assert rec.positions.shape == (11, 3, 2)
+        assert rec.residuals.shape == rec.converged.shape == rec.sweeps.shape == (11,)
         assert rec.times[0] == 0.0
         assert rec.times[-1] == pytest.approx(1.0)
         assert rec.final_config.time == pytest.approx(1.0)
@@ -243,11 +245,10 @@ def assert_records_equal(a, b):
     assert np.array_equal(a.final_config.X, b.final_config.X)
     assert np.array_equal(a.final_config.V, b.final_config.V)
     assert a.final_config.time == b.final_config.time
-    assert (a.frames is None) == (b.frames is None)
-    for fa, fb in zip(a.frames or [], b.frames or []):
-        assert np.array_equal(fa.positions, fb.positions)
-        assert np.array_equal(fa.frame, fb.frame)
-        assert (fa.residual, fa.converged, fa.sweeps) == (fb.residual, fb.converged, fb.sweeps)
+    for name in ("positions", "residuals", "converged", "sweeps"):
+        fa, fb = getattr(a, name), getattr(b, name)
+        assert (fa is None) == (fb is None), name
+        assert fa is None or np.array_equal(fa, fb), name
 
 
 class TestReplicaBatching:
@@ -351,6 +352,47 @@ class TestReferenceKernels:
             assert rec.final_config.time == t_end
 
 
+def spy_joint_diagonalize(monkeypatch) -> list:
+    """Route run()'s Jacobi calls through a spy; returns the list it fills
+    with (configuration, copy of its X, copy of its V) at each call."""
+    seen = []
+    jd = dynamics.joint_diagonalize
+
+    def spy(cfg, *args, **kwargs):
+        seen.append((cfg, cfg.X.copy(), cfg.V.copy()))
+        return jd(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "joint_diagonalize", spy)
+    return seen
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("mode", ["microcanonical", "langevin"])
+    def test_frames_chain_from_own_previous_frame(self, mode, monkeypatch):
+        # Each recorded state is diagonalized from the frame of the same
+        # replica's previous state.  Rebuild both chains by hand from the
+        # configurations run() diagonalized and compare every frame array.
+        seen = spy_joint_diagonalize(monkeypatch)
+        p = ModelParams(d=2, N=5)
+        integ = IntegratorConfig(mode=mode, dt=0.01, steps=12, gamma=0.5, temperature=0.3,
+                                 record_every=2, record_frames=True)
+        records = run(moving_configs(p, 2, 11), p, integ, [4, 5])
+        n = len(records[0].times)
+        assert len(seen) == 2 * n
+        for r, rec in enumerate(records):
+            frame = None
+            for k in range(n):
+                cfg = seen[2 * k + r][0]  # replicas in order at each record step
+                assert cfg.time == rec.times[k]
+                assert np.array_equal(bits(eigenvalues(cfg)), bits(rec.spectra[k]))
+                fr = joint_diagonalize(cfg, initial_frame=frame)
+                frame = fr.frame
+                assert np.array_equal(bits(rec.positions[k]), bits(fr.positions))
+                assert np.array_equal(bits(rec.residuals[k]), bits(np.float64(fr.residual)))
+                assert rec.converged[k] == fr.converged
+                assert rec.sweeps[k] == fr.sweeps
+
+
 class TestAliasing:
     @pytest.mark.parametrize("noise_mode", ["all", "offdiagonal"])
     def test_steps_leave_input_unchanged(self, noise_mode):
@@ -367,15 +409,8 @@ class TestAliasing:
     @pytest.mark.parametrize("mode", ["microcanonical", "langevin"])
     def test_recorded_states_not_overwritten(self, mode, monkeypatch):
         # run() updates its stacked X and V in place; every configuration
-        # it hands the recorders, and every final_config, must be a copy.
-        seen = []
-        add = dynamics._Recorder.add
-
-        def spy(self, cfg, params):
-            seen.append((cfg, cfg.X.copy(), cfg.V.copy()))
-            add(self, cfg, params)
-
-        monkeypatch.setattr(dynamics._Recorder, "add", spy)
+        # it records, and every final_config, must be a copy.
+        seen = spy_joint_diagonalize(monkeypatch)
         p = ModelParams(d=2, N=4)
         integ = IntegratorConfig(mode=mode, dt=0.01, steps=6, gamma=0.5, temperature=0.3,
                                  record_every=1, record_frames=True)

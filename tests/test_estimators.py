@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from matrixqm.core import ModelParams, ParticleFrame
+from matrixqm.core import ModelParams
 from matrixqm.estimators import (
     EigenTrajectory,
     FieldEstimate,
@@ -67,41 +67,23 @@ class TestGrid:
 
 class TestTracking:
     def test_identity_when_static(self):
-        from matrixqm.core import ParticleFrame
         pos = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        frames = [ParticleFrame(positions=pos.copy(), residual=0.0,
-                                frame=np.eye(3), converged=True)
-                  for _ in range(4)]
-        trajs = track_particles([frames], np.arange(4.0))
+        trajs = track_particles(np.stack([pos] * 4)[None], np.arange(4.0))
         assert trajs.positions.shape == (1, 4, 3, 2)
         assert np.array_equal(trajs.positions[0, 0], trajs.positions[0, -1])
 
     def test_crossing_resolved_by_distance(self):
         # Two particles drift toward and past each other; nearest-neighbour
         # matching keeps the labels continuous instead of swapping at overlap.
-        from matrixqm.core import ParticleFrame
         times = np.linspace(0, 1, 21)
         frames = []
         for t in times:
             a = np.array([-1.0 + 1.8 * t, 0.0])
             b = np.array([1.0 - 1.8 * t, 0.1])
-            pos = np.stack(sorted([a, b], key=lambda r: (r[0], r[1])))
-            frames.append(ParticleFrame(positions=pos, residual=0.0,
-                                        frame=np.eye(2), converged=True))
-        trajs = track_particles([frames], times)
+            frames.append(np.stack(sorted([a, b], key=lambda r: (r[0], r[1]))))
+        trajs = track_particles(np.stack(frames)[None], times)
         jumps = np.max(np.abs(np.diff(trajs.positions, axis=1)))
         assert jumps < 0.2  # no label swap (a swap would jump by ~2)
-
-    def test_convergence_flags_and_residuals_carried(self):
-        from matrixqm.core import ParticleFrame
-        pos = np.array([[0.0, 0.0], [1.0, 0.0]])
-        flags = [True, False, True]
-        frames = [ParticleFrame(positions=pos, residual=0.1 * k, frame=np.eye(2),
-                                converged=c, sweeps=k + 4) for k, c in enumerate(flags)]
-        trajs = track_particles([frames], np.arange(3.0))
-        assert trajs.converged.tolist() == [flags]
-        assert np.array_equal(trajs.residuals, [[0.0, 0.1, 0.2]])
-        assert trajs.sweeps.tolist() == [[4, 5, 6]]
 
     def test_match_is_optimal_beyond_64_particles(self):
         # 33 far-apart pairs at (10k, 0) and (10k + 1, 0) move by +0.9 along x.
@@ -120,31 +102,26 @@ class TestTracking:
         # exceeds half the nearest-neighbour distance (0.5).  The third frame
         # moves every particle by 0.05, less than half of the 0.3 gap.
         xs = [[0.0, 1.0, 3.0], [0.9, 1.2, 3.0], [0.95, 1.25, 3.05]]
-        frames = [ParticleFrame(positions=np.array(x)[:, None], residual=0.0,
-                                frame=np.eye(3)) for x in xs]
-        trajs = track_particles([frames], np.arange(3.0))
+        trajs = track_particles(np.array(xs)[None, :, :, None], np.arange(3.0))
         assert trajs.ambiguous.tolist() == [[False, True, False]]
         assert np.array_equal(trajs.positions[0, 1, :, 0], [0.9, 1.2, 3.0])
 
     def test_replicas_tracked_independently(self):
         # Each replica of an ensemble is tracked as it would be alone.
         rng = np.random.default_rng(13)
-        ensemble = [[ParticleFrame(positions=rng.normal(size=(6, 2)), residual=0.1 * r,
-                                   frame=np.eye(6), converged=bool(k % 2), sweeps=k)
-                     for k in range(5)] for r in range(3)]
+        ensemble = rng.normal(size=(3, 5, 6, 2))
         trajs = track_particles(ensemble, np.arange(5.0))
         assert trajs.positions.shape == (3, 5, 6, 2)
-        for r, frames in enumerate(ensemble):
-            alone = track_particles([frames], np.arange(5.0))
-            for name in ("positions", "residuals", "converged", "sweeps", "ambiguous"):
+        for r in range(3):
+            alone = track_particles(ensemble[r:r + 1], np.arange(5.0))
+            for name in ("positions", "ambiguous"):
                 assert np.array_equal(getattr(trajs, name)[r], getattr(alone, name)[0]), name
 
     def test_no_ambiguous_steps_for_small_moves(self):
         rng = np.random.default_rng(12)
         base = np.sort(rng.uniform(0, 10, size=(12, 2)), axis=0)
-        frames = [ParticleFrame(positions=base + 1e-3 * rng.normal(size=base.shape),
-                                residual=0.0, frame=np.eye(12)) for _ in range(5)]
-        trajs = track_particles([frames], np.arange(5.0))
+        frames = [base + 1e-3 * rng.normal(size=base.shape) for _ in range(5)]
+        trajs = track_particles(np.stack(frames)[None], np.arange(5.0))
         assert not trajs.ambiguous.any()
 
 
@@ -238,7 +215,7 @@ class TestContinuity:
 
         rhos = [rho_at(-dt), rho_at(0.0), rho_at(dt)]
         v = np.full((1, n), c)
-        est = FieldEstimate(grid=grid, rho=rhos[1], v=v,
+        est = FieldEstimate(grid=grid, v=v,
                             mask=np.ones(n, dtype=bool))
         return rhos, est, dt
 

@@ -191,8 +191,8 @@ class TestCsv:
             + ["jd_residual", "jd_converged", "jd_sweeps"])
         cols = load_record_csv(text)
         assert np.all(cols["jd_residual"] >= 0)
-        assert np.array_equal(cols["jd_converged"], [float(fr.converged) for fr in rec.frames])
-        assert np.array_equal(cols["jd_sweeps"], [float(fr.sweeps) for fr in rec.frames])
+        assert np.array_equal(cols["jd_converged"], [float(c) for c in rec.converged])
+        assert np.array_equal(cols["jd_sweeps"], [float(s) for s in rec.sweeps])
 
     def test_no_frame_columns_without_frames(self):
         header = record_to_csv(self.make_record()).splitlines()[0].split(",")
