@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .core import random_config
-from .dynamics import NumericsError, run
+from .dynamics import NumericsError, frame_position_tol, run
 from .estimators import (
     EigenTrajectory,
     FieldEstimate,
@@ -33,6 +33,7 @@ from .estimators import (
     scaled_temperature,
     scaling_sweep,
     silverman_bandwidth,
+    sweep_point_run,
     sweep_seeds,
 )
 from .oracle import (
@@ -51,6 +52,7 @@ from .runio import (
     build_manifest,
     conventions,
     fill_section,
+    jacobi_stopping,
     load_record_csv,
     load_wavefunction_csv,
     parse_config,
@@ -104,7 +106,9 @@ def cmd_simulate(cfg, args) -> dict:
     records = run(configs, cfg.model, cfg.integrator, [s["dynamics"] for s in seeds])
     artifacts = {f"record_{r:03d}.csv": record_to_csv(record)
                  for r, record in enumerate(records)}
-    artifacts["manifest.json"] = build_manifest(cfg, seeds, time.monotonic() - t0)
+    stopping = (jacobi_stopping(frame_position_tol(cfg.model, cfg.integrator))
+                if cfg.integrator.record_frames else {})
+    artifacts["manifest.json"] = build_manifest(cfg, seeds, time.monotonic() - t0, stopping)
     return artifacts
 
 
@@ -115,9 +119,12 @@ def cmd_sweep(cfg, args) -> dict:
     points = scaling_sweep(cfg.model, cfg.sweep, cfg.ensemble.master_seed)
     seeds = [{"N": N, "replica": r, **sweep_seeds(cfg.ensemble.master_seed, N, r)}
              for N in cfg.sweep.N_list for r in range(cfg.sweep.replicas)]
+    stopping = jacobi_stopping({
+        str(N): frame_position_tol(*sweep_point_run(cfg.model, cfg.sweep, N))
+        for N in cfg.sweep.N_list})
     return {
         "sweep.csv": sweep_to_csv(points, cfg.model.pair_sum, cfg.oracle.nu_convention),
-        "sweep_manifest.json": build_manifest(cfg, seeds, time.monotonic() - t0),
+        "sweep_manifest.json": build_manifest(cfg, seeds, time.monotonic() - t0, stopping),
     }
 
 
@@ -138,14 +145,17 @@ def cmd_oracle(cfg, args) -> dict:
         "steps": n_steps,
     }
 
-    # Free-packet spreading vs the analytic width law.
+    # Free-packet spreading vs the analytic width law, at every fourth of the
+    # packet snapshots that also drive the Nelson walkers.
     wf = gaussian_packet(x, 0.0, o.sigma0, o.p0, o.hbar, o.mass)
-    width_rows = []
     t_spread = 2.0 * o.mass * o.sigma0**2 / o.hbar
-    n_chunk = max(1, int(round(t_spread / 4 / o.dt)))
-    wfc = wf
-    for _ in range(4):
-        wfc = evolve_schrodinger(wfc, np.zeros_like(x), o.dt, n_chunk)
+    n_snap = 16
+    snaps = [wf]
+    per = max(1, int(round(t_spread / n_snap / o.dt)))
+    for _ in range(n_snap):
+        snaps.append(evolve_schrodinger(snaps[-1], np.zeros_like(x), o.dt, per))
+    width_rows = []
+    for wfc in snaps[4::4]:
         mean = np.sum(wfc.x * wfc.density()) * wfc.h
         var = np.sum((wfc.x - mean) ** 2 * wfc.density()) * wfc.h
         width_rows.append({
@@ -157,11 +167,6 @@ def cmd_oracle(cfg, args) -> dict:
     # Nelson walkers under both diffusion conventions.
     rng = np.random.default_rng(replica_seed(cfg.ensemble.master_seed, 0, "nelson"))
     walkers0 = rng.normal(0.0, o.sigma0, size=o.walkers)
-    n_snap = 16
-    snaps = [wf]
-    per = max(1, int(round(t_spread / n_snap / o.dt)))
-    for _ in range(n_snap):
-        snaps.append(evolve_schrodinger(snaps[-1], np.zeros_like(x), o.dt, per))
     t_end = snaps[-1].time
     ab = {}
     for name, nu in (("nelson_hbar_over_2m", o.hbar / (2 * o.mass)),

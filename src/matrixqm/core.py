@@ -28,6 +28,12 @@ UNORDERED = "unordered_pairs"
 
 ORTHO_TOL = 1e-10
 
+# joint_diagonalize: its default angle floor in radians, and the position
+# rule's bound on the next update's first-order drop of the squared
+# off-diagonal norm, relative to that norm.
+JACOBI_ANGLE_TOL = 1e-8
+POSITION_RULE_RESIDUAL_DROP = 1e-6
+
 
 class ShapeError(ValueError):
     """Configuration and parameters disagree about (d, N)."""
@@ -282,8 +288,9 @@ def _pair_angles(A: np.ndarray) -> np.ndarray:
 def joint_diagonalize(
     config: MatrixConfiguration,
     max_sweeps: int = 1000,
-    tol: float = 1e-8,
+    tol: float = JACOBI_ANGLE_TOL,
     initial_frame: np.ndarray | None = None,
+    position_tol: float = 0.0,
 ) -> ParticleFrame:
     """Approximate simultaneous diagonalization by all-pairs Jacobi iterations.
 
@@ -293,11 +300,20 @@ def joint_diagonalize(
     them together as one orthogonal update, the Cayley transform
     G = (I - K/2)^-1 (I + K/2) of the antisymmetric angle matrix K: A <- G A G^T,
     O <- G O (the orthogonal analogue of the simultaneous updates of FFDiag,
-    Ziehe et al., JMLR 5, 2004).  It stops once every angle is at most tol
-    radians, or after max_sweeps iterations (then converged is False).
-    Returns the diagonal values as N points in R^d, sorted
-    lexicographically, with the attained off-diagonal norm as a
-    commutativity quality score.
+    Ziehe et al., JMLR 5, 2004).
+
+    It stops, converged, once every angle is at most tol radians, or, with
+    position_tol > 0, once the next update would change the diagonal little
+    to first order: it would shift no diagonal entry by more than
+    position_tol, 2 max_{a,p} |sum_q K_pq A_a,pq| <= position_tol, and it
+    would lower the squared off-diagonal norm by at most
+    POSITION_RULE_RESIDUAL_DROP of itself.  The second bound keeps the
+    residual of small, nearly diagonal frames, whose entries move little per
+    rotation, within about 1e-6 of its converged value, relatively.  Both
+    tests read only the current matrices, so a warm start from a frame that
+    met them runs no iteration.  After max_sweeps iterations it stops with converged False.
+    Returns the diagonal values as N points in R^d, sorted lexicographically,
+    with the attained off-diagonal norm as a commutativity quality score.
 
     A warm start (initial_frame) speeds up tracking along a trajectory.
     """
@@ -310,6 +326,7 @@ def joint_diagonalize(
         A = config.X
 
     eye = np.eye(N)
+    norm2 = float(np.sum(A * A))  # kept by every rotation
     converged = False
     sweeps = 0
     while True:
@@ -317,6 +334,16 @@ def joint_diagonalize(
         if np.max(np.abs(K)) <= tol:
             converged = True
             break
+        if position_tol > 0:
+            # Half the first-order shift of each diagonal entry A_a,pp.
+            shift = np.add.reduce(K * A, axis=2)
+            diag = np.diagonal(A, axis1=1, axis2=2)
+            drop = 4.0 * float(np.sum(diag * shift))  # of the squared off-diagonal norm
+            off2 = norm2 - float(np.sum(diag * diag))
+            if (2.0 * np.max(np.abs(shift)) <= position_tol
+                    and abs(drop) <= POSITION_RULE_RESIDUAL_DROP * off2):
+                converged = True
+                break
         if sweeps == max_sweeps:
             break
         G = np.linalg.solve(eye - 0.5 * K, eye + 0.5 * K)

@@ -34,6 +34,10 @@ LANGEVIN = "langevin"
 NOISE_ALL = "all"
 NOISE_OFFDIAG = "offdiagonal"
 
+# A recorded Langevin frame's particle positions are resolved to this fraction
+# of the free thermal displacement per record interval (frame_position_tol).
+FRAME_DISPLACEMENT_FRACTION = 1e-3
+
 
 class NumericsError(RuntimeError):
     """NaN/Inf encountered during integration; carries the step and replica index."""
@@ -265,6 +269,22 @@ def step_langevin(
     return MatrixConfiguration(X=X, V=V, time=config.time + dt)
 
 
+def frame_position_tol(params: ModelParams, integ: IntegratorConfig) -> float:
+    """The position_tol of run()'s joint diagonalizations.
+
+    FRAME_DISPLACEMENT_FRACTION of sqrt(T dt_rec / (mu gamma)), the free
+    thermal displacement of a diagonal entry (mass 2 mu, diffusion constant
+    T / (2 mu gamma)) over one record interval dt_rec = dt * record_every.
+    0 (off) for microcanonical runs and at T = 0, whose frames keep the
+    angle floor alone.
+    """
+    if integ.mode != LANGEVIN or integ.temperature == 0:
+        return 0.0
+    dt_rec = integ.dt * integ.record_every
+    return FRAME_DISPLACEMENT_FRACTION * float(
+        np.sqrt(integ.temperature * dt_rec / (params.mu * integ.gamma)))
+
+
 def run(
     configs: list,
     params: ModelParams,
@@ -280,7 +300,8 @@ def run(
     bitwise the one it gets when run alone.  Each record array is allocated
     once, stacked over replicas, and each replica's record holds its slices.
     A replica's joint diagonalization warm-starts from the frame of its own
-    previous recorded state, the only frame kept.
+    previous recorded state, the only frame kept, and stops at
+    frame_position_tol(params, integ) as well as at its angle floor.
     """
     seeds = [0] * len(configs) if seeds is None else list(seeds)
     if len(seeds) != len(configs):
@@ -295,6 +316,7 @@ def run(
         stacks.update(positions=np.empty((R, n, N, d)), residuals=np.empty((R, n)),
                       converged=np.empty((R, n), dtype=bool), sweeps=np.empty((R, n), dtype=int))
     warm = [None] * R  # each replica's last Jacobi frame
+    position_tol = frame_position_tol(params, integ)
 
     def record(k, times):
         for r in range(R):
@@ -308,7 +330,7 @@ def run(
             stacks["spectra"][r, k] = eigenvalues(cfg)
             stacks["com_momenta"][r, k] = com_momentum(cfg, params)
             if integ.record_frames:
-                fr = joint_diagonalize(cfg, initial_frame=warm[r])
+                fr = joint_diagonalize(cfg, initial_frame=warm[r], position_tol=position_tol)
                 warm[r] = fr.frame
                 stacks["positions"][r, k] = fr.positions
                 stacks["residuals"][r, k] = fr.residual

@@ -122,11 +122,26 @@ class ScalingPoint:
 def _assign(cost: np.ndarray) -> np.ndarray:
     """Columns p of the (n, n) cost matrix minimizing sum_i cost[i, p(i)].
 
-    Exact assignment by shortest augmenting paths with row and column
-    potentials (the Hungarian method in the form of Jonker & Volgenant,
-    Computing 38, 1987).  Each row is added by a Dijkstra search over the
-    columns, one vectorized step per column it settles; tracking costs are
-    close to the identity, so most rows reach a free column in one step.
+    When each row's minimum is strict and the rows' argmins form a
+    permutation, that permutation is the unique optimum: the sum of the row
+    minima bounds every assignment from below, and any other one leaves some
+    row above its minimum.  Tracking costs are close to the identity, so
+    this is the usual case.  Otherwise _hungarian solves it.
+    """
+    n = len(cost)
+    cols = np.argmin(cost, axis=1)
+    at_min = cost <= cost[np.arange(n), cols][:, None]
+    if np.all(np.bincount(cols, minlength=n) == 1) and np.all(at_min.sum(axis=1) == 1):
+        return cols
+    return _hungarian(cost)
+
+
+def _hungarian(cost: np.ndarray) -> np.ndarray:
+    """_assign by shortest augmenting paths with row and column potentials
+    (the Hungarian method in the form of Jonker & Volgenant, Computing 38,
+    1987).  Each row is added by a Dijkstra search over the columns, one
+    vectorized step per column it settles; tracking costs are close to the
+    identity, so most rows reach a free column in one step.
     """
     n = len(cost)
     u, v = np.zeros(n), np.zeros(n)  # row and column potentials
@@ -481,6 +496,24 @@ def sweep_seeds(master_seed: int, N: int, replica: int) -> dict:
     return dict(zip(("init", "burn", "run"), (int(x) for x in state)))
 
 
+def sweep_point_run(base_params: ModelParams, settings: SweepSettings,
+                    N: int) -> tuple[ModelParams, IntegratorConfig]:
+    """The model at N and the recorded Langevin run of that sweep point; its
+    burn-in is the same run with other steps and no frames."""
+    s = settings
+    params = dataclasses.replace(base_params, N=int(N))
+    return params, IntegratorConfig(
+        mode=LANGEVIN,
+        dt=s.dt,
+        steps=s.steps,
+        gamma=s.gamma * params.omega,
+        temperature=temperature_for_scaled(params, s.t_scaled, N),
+        record_every=s.record_every,
+        record_frames=True,
+        project_trace_noise=True,
+    )
+
+
 def scaling_sweep(
     base_params: ModelParams,
     settings: SweepSettings,
@@ -503,33 +536,15 @@ def scaling_sweep(
     fit_window = (5 * dt_rec, 50 * dt_rec)
     points = []
     for N in s.N_list:
-        params = dataclasses.replace(base_params, N=int(N))
-        T = temperature_for_scaled(params, s.t_scaled, N)
+        params, measure = sweep_point_run(base_params, s, N)
         seeds = [sweep_seeds(master_seed, N, r) for r in range(s.replicas)]
         configs = [random_config(params, s.spread, seed["init"]) for seed in seeds]
-        burn = IntegratorConfig(
-            mode=LANGEVIN,
-            dt=s.dt,
-            steps=s.burn_in_steps,
-            gamma=s.gamma * params.omega,
-            temperature=T,
-            record_every=max(1, s.burn_in_steps),
-            project_trace_noise=True,
-        )
+        burn = dataclasses.replace(measure, steps=s.burn_in_steps,
+                                   record_every=max(1, s.burn_in_steps), record_frames=False)
         try:
             burnt = run(configs, params, burn, [seed["burn"] for seed in seeds])
         except NumericsError as e:
             raise e.within(f"sweep N={N}, burn-in run") from None
-        measure = IntegratorConfig(
-            mode=LANGEVIN,
-            dt=s.dt,
-            steps=s.steps,
-            gamma=s.gamma * params.omega,
-            temperature=T,
-            record_every=s.record_every,
-            record_frames=True,
-            project_trace_noise=True,
-        )
         try:
             records = run([rec.final_config for rec in burnt], params, measure,
                           [seed["run"] for seed in seeds])
@@ -561,8 +576,8 @@ def scaling_sweep(
 
         points.append(ScalingPoint(
             N=int(N),
-            T=T,
-            t_scaled=scaled_temperature(params, T, int(N)),
+            T=measure.temperature,
+            t_scaled=scaled_temperature(params, measure.temperature, int(N)),
             nu_hat=est.nu_hat,
             nu_stderr=est.stderr,
             nu_pred=nu_pred,

@@ -182,6 +182,28 @@ def nelson_drift(wf: WaveFunction, nu: float) -> DriftField:
     return DriftField(x=m.x, b=v + u, v=v, u=u, mask=mask)
 
 
+def grid_interp(x: np.ndarray, xp: np.ndarray, fp: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """np.interp(x, xp, fp), bitwise, for finite x and fp on a uniform grid xp
+    (as np.linspace makes it), given slope = np.diff(fp) / np.diff(xp).
+
+    The interval index comes from (x - xp[0]) / h, corrected by one
+    comparison each way for the grid's rounding, instead of np.interp's
+    binary search.  Like np.interp it returns slope[j] * (x - xp[j]) + fp[j]
+    on interval j, fp[j] at a grid point, fp[0] below the grid and fp[-1]
+    from its last point on.
+    """
+    n = len(xp)
+    j = np.clip((x - xp[0]) / (xp[1] - xp[0]), 0, n - 2).astype(np.intp)
+    j -= (xp[j] > x) & (j > 0)
+    j += (xp[j + 1] <= x) & (j < n - 2)
+    out = slope[j] * (x - xp[j]) + fp[j]
+    at = xp[j] == x
+    out[at] = fp[j[at]]
+    out[x < xp[0]] = fp[0]
+    out[x >= xp[-1]] = fp[-1]
+    return out
+
+
 def nelson_evolve(
     ensemble: NelsonEnsemble,
     psi_series,
@@ -200,6 +222,7 @@ def nelson_evolve(
         psi_series = [psi_series]
     snaps = sorted(psi_series, key=lambda wf: wf.time)
     fields = [nelson_drift(wf, nu) for wf in snaps]
+    slopes = [np.diff(f.b) / np.diff(f.x) for f in fields]
 
     snap_times = np.array([wf.time for wf in snaps])
     rng = np.random.default_rng(seed)
@@ -209,8 +232,8 @@ def nelson_evolve(
     reflections = ensemble.reflections
     amp = np.sqrt(2.0 * nu * dt)
     for _ in range(steps):
-        fld = fields[int(np.argmin(np.abs(snap_times - t)))]
-        b = np.interp(x, fld.x, fld.b)
+        k = int(np.argmin(np.abs(snap_times - t)))
+        b = grid_interp(x, fields[k].x, fields[k].b, slopes[k])
         x = x + b * dt + amp * rng.standard_normal(len(x))
         below = x < lo
         above = x > hi

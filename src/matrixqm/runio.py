@@ -33,8 +33,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import __version__
-from .core import ModelParams
-from .dynamics import IntegratorConfig, TrajectoryRecord
+from .core import JACOBI_ANGLE_TOL, POSITION_RULE_RESIDUAL_DROP, ModelParams
+from .dynamics import FRAME_DISPLACEMENT_FRACTION, IntegratorConfig, TrajectoryRecord
 from .estimators import ScalingPoint, SweepSettings
 
 
@@ -180,14 +180,30 @@ def conventions(cfg: ExperimentConfig) -> dict:
     }
 
 
-def build_manifest(cfg: ExperimentConfig, per_replica_seeds: list, wall_clock: float) -> dict:
+def build_manifest(cfg: ExperimentConfig, per_replica_seeds: list, wall_clock: float,
+                   extra: dict | None = None) -> dict:
+    """The config echo, seeds and conventions of a run, and the entries of
+    extra (for example jacobi_stopping's)."""
     return {
         "config": dataclasses.asdict(cfg),
         "code_version": __version__,
         "per_replica_seeds": per_replica_seeds,
         "wall_clock_seconds": wall_clock,
         "conventions": conventions(cfg),
+        **(extra or {}),
     }
+
+
+def jacobi_stopping(position_tol) -> dict:
+    """The manifest entry stating the stopping rule of the Jacobi frames of a
+    run: dynamics.frame_position_tol's value, or a dict N -> value for a
+    sweep."""
+    return {"jacobi_stopping": {
+        "angle_tol": JACOBI_ANGLE_TOL,
+        "frame_displacement_fraction": FRAME_DISPLACEMENT_FRACTION,
+        "residual_drop": POSITION_RULE_RESIDUAL_DROP,
+        "position_tol": position_tol,
+    }}
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,25 @@ class TestSweep:
         assert np.isfinite(float(vals[3]))
         assert os.path.exists(os.path.join(out, "sweep_manifest.json"))
 
+    def test_manifests_state_jacobi_stopping_rule(self, tmp_path):
+        doc = {"model": {"d": 2, "N": 4},
+               "sweep": {"t_scaled": 0.1, "N_list": [3, 4], "replicas": 1,
+                         "burn_in_steps": 10, "steps": 50, "dt": 0.02,
+                         "gamma": 0.5, "record_every": 5, "spread": 0.3}}
+        cfg = write_config(tmp_path, doc)
+        out = os.path.join(tmp_path, "sw")
+        assert main(["sweep", "--config", cfg, "--out", out]) == EXIT_OK
+        rule = json.load(open(os.path.join(out, "sweep_manifest.json")))["jacobi_stopping"]
+        # T = 8 t / N at d = 2; dt_rec = 0.1.
+        assert rule["angle_tol"] == 1e-8 and rule["frame_displacement_fraction"] == 1e-3
+        assert rule["residual_drop"] == 1e-6
+        assert rule["position_tol"] == pytest.approx(
+            {str(N): 1e-3 * np.sqrt(0.8 / N * 0.1 / 0.5) for N in (3, 4)}, rel=1e-12)
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        assert main(["simulate", "--config", cfg, "--out", out]) == EXIT_OK
+        rule = json.load(open(os.path.join(out, "manifest.json")))["jacobi_stopping"]
+        assert rule["position_tol"] == pytest.approx(1e-3 * np.sqrt(0.3 * 0.04 / 0.5), rel=1e-12)
+
     def test_manifest_reexecution_byte_identical(self, tmp_path):
         doc = {
             "model": {"d": 2, "N": 4},

@@ -438,6 +438,14 @@ class TestJacobiStoppingRule:
         capped = joint_diagonalize(thermal_frame(), max_sweeps=1)
         assert capped.sweeps == 1 and not capped.converged
 
+    def test_warm_start_from_position_rule_frame_runs_no_iteration(self):
+        cfg = thermal_frame()
+        cold = joint_diagonalize(cfg, position_tol=1e-4)
+        assert cold.converged and 0 < cold.sweeps < joint_diagonalize(cfg).sweeps
+        warm = joint_diagonalize(cfg, initial_frame=cold.frame, position_tol=1e-4)
+        assert warm.converged and warm.sweeps == 0
+        assert np.max(np.abs(warm.positions - cold.positions)) < 1e-12
+
 
 # (N, d, seed), odd and even N.
 JD_CASES = st.tuples(st.integers(2, 12), st.sampled_from([1, 2, 3]), st.integers(0, 2**32 - 1))

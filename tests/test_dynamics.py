@@ -21,6 +21,7 @@ from matrixqm.core import (
 from matrixqm.dynamics import (
     IntegratorConfig,
     NumericsError,
+    frame_position_tol,
     integrated_autocorrelation_time,
     measure_temperature,
     run,
@@ -385,12 +386,60 @@ class TestWarmStart:
                 cfg = seen[2 * k + r][0]  # replicas in order at each record step
                 assert cfg.time == rec.times[k]
                 assert np.array_equal(bits(eigenvalues(cfg)), bits(rec.spectra[k]))
-                fr = joint_diagonalize(cfg, initial_frame=frame)
+                fr = joint_diagonalize(cfg, initial_frame=frame,
+                                       position_tol=frame_position_tol(p, integ))
                 frame = fr.frame
                 assert np.array_equal(bits(rec.positions[k]), bits(fr.positions))
                 assert np.array_equal(bits(rec.residuals[k]), bits(np.float64(fr.residual)))
                 assert rec.converged[k] == fr.converged
                 assert rec.sweeps[k] == fr.sweeps
+
+
+class TestFramePositionRule:
+    def test_off_without_thermal_noise(self):
+        p = ModelParams(d=2, N=8)
+        assert frame_position_tol(p, IntegratorConfig(mode="microcanonical", dt=0.02,
+                                                      record_every=5)) == 0.0
+        assert frame_position_tol(p, IntegratorConfig(mode="langevin", dt=0.02, gamma=0.5,
+                                                      temperature=0.0, record_every=5)) == 0.0
+        integ = IntegratorConfig(mode="langevin", dt=0.02, gamma=0.5, temperature=0.1,
+                                 record_every=5)
+        assert frame_position_tol(p, integ) == pytest.approx(1e-3 * np.sqrt(0.1 * 0.1 / 0.5))
+
+    def test_positions_close_to_strict_rule_with_fewer_iterations(self, monkeypatch):
+        p = ModelParams(d=2, N=8)
+        integ = IntegratorConfig(mode="langevin", dt=0.02, steps=200, gamma=0.5,
+                                 temperature=0.1, record_every=5, record_frames=True)
+        cfgs = [random_config(p, 0.3, s) for s in (21, 22)]
+        tol = frame_position_tol(p, integ)
+        frames = []
+
+        def spy(cfg, **kw):
+            fr = joint_diagonalize(cfg, **kw)
+            frames.append((cfg, fr.frame))
+            return fr
+
+        monkeypatch.setattr(dynamics, "joint_diagonalize", spy)
+        loose = run(cfgs, p, integ, [1, 2])
+        # Every recorded frame meets the rule: restarted from it, the
+        # position rule runs no iteration.
+        for cfg, frame in frames:
+            assert joint_diagonalize(cfg, initial_frame=frame, position_tol=tol).sweeps == 0
+        monkeypatch.setattr(dynamics, "FRAME_DISPLACEMENT_FRACTION", 0.0)
+        strict = run(cfgs, p, integ, [1, 2])
+        for a, b in zip(loose, strict):
+            assert np.array_equal(bits(a.spectra), bits(b.spectra))
+            assert a.converged.all() and b.converged.all()
+            # The rule bounds the next update's shift by tol; at a linear
+            # contraction ratio r per iteration the shifts still to come add
+            # up to about tol / (1 - r), 10 tol at r = 0.9.  This run's two
+            # slowest frames (241 and 90 iterations under the strict rule)
+            # land at 8.6 and 7.3 tol, the others at most at 5.4 tol.  Sorted
+            # per direction: a near-tie may order two particles differently
+            # in the two runs.
+            gap = np.abs(np.sort(a.positions, axis=1) - np.sort(b.positions, axis=1))
+            assert gap.max() <= 10 * tol
+        assert sum(r.sweeps.sum() for r in loose) < sum(r.sweeps.sum() for r in strict)
 
 
 class TestAliasing:

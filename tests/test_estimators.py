@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from matrixqm import estimators
 from matrixqm.core import ModelParams
 from matrixqm.estimators import (
     EigenTrajectory,
@@ -160,6 +161,33 @@ class TestAssignmentProperties:
         cur = (prev + jitter * rng.normal(size=(n, d)))[rng.permutation(n)]
         cost = np.sum((prev[:, None, :] - cur[None, :, :]) ** 2, axis=2)
         assert np.array_equal(_match(prev, cur), linear_sum_assignment(cost)[1])
+
+
+class TestAssignmentFastPath:
+    @pytest.fixture
+    def hungarian_calls(self, monkeypatch):
+        calls = []
+        hungarian = estimators._hungarian
+
+        def spy(cost):
+            calls.append(cost)
+            return hungarian(cost)
+
+        monkeypatch.setattr(estimators, "_hungarian", spy)
+        return calls
+
+    def test_strict_row_minima_skip_hungarian(self, hungarian_calls):
+        cost = np.array([[0.1, 2.0, 3.0], [2.0, 3.0, 0.2], [1.0, 0.3, 4.0]])
+        assert _assign(cost).tolist() == [0, 2, 1]
+        assert hungarian_calls == []
+
+    def test_tied_row_minima_take_hungarian(self, hungarian_calls):
+        # The row argmins [0, 1, 2] form a permutation, but row 0's minimum
+        # is tied, so the optimum need not be unique.
+        cost = np.array([[0.0, 0.0, 2.0], [2.0, 1.0, 3.0], [3.0, 3.0, 0.0]])
+        cols = _assign(cost)
+        assert len(hungarian_calls) == 1
+        assert total(cost, cols) == total(cost, linear_sum_assignment(cost)[1])
 
 
 class TestDensity:

@@ -17,6 +17,7 @@ from matrixqm.oracle import (
     evolve_schrodinger,
     free_packet_width,
     gaussian_packet,
+    grid_interp,
     harmonic_eigenstate,
     madelung_decompose,
     nelson_drift,
@@ -246,6 +247,21 @@ class TestNelson:
         assert a.reflections > 0
         assert a.reflections == b.reflections
         assert np.array_equal(a.walkers, b.walkers)
+
+
+class TestGridInterp:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 300), st.floats(0.1, 50.0), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_to_np_interp(self, n, L, endpoint, seed):
+        rng = np.random.default_rng(seed)
+        xp = np.linspace(-L / 2, L / 2, n, endpoint=endpoint)
+        fp = rng.normal(size=n) * 10.0 ** rng.uniform(-5, 5)
+        fp[rng.random(n) < 0.1] = -0.0
+        # Inside and outside the grid, on grid points, on both ends, at +-0.
+        x = np.concatenate([rng.uniform(-L / 2 - 1, L / 2 + 1, 500), xp[rng.integers(0, n, 20)],
+                            [xp[0], xp[-1], -0.0, 0.0]])
+        got = grid_interp(x, xp, fp, np.diff(fp) / np.diff(xp))
+        assert np.array_equal(got.view(np.uint64), np.interp(x, xp, fp).view(np.uint64))
 
 
 class TestComparisons:
