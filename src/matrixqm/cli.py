@@ -42,7 +42,9 @@ from .oracle import (
     evolve_schrodinger,
     free_packet_width,
     gaussian_packet,
+    grid_spacing,
     harmonic_eigenstate,
+    kde_cell,
     nelson_evolve,
     walker_density,
 )
@@ -146,14 +148,15 @@ def cmd_oracle(cfg, args) -> dict:
     }
 
     # Free-packet spreading vs the analytic width law, at every fourth of the
-    # packet snapshots that also drive the Nelson walkers.
+    # packet snapshots that also drive the Nelson walkers.  Split-step is exact
+    # for V = 0 at any dt, so each snapshot is one step of per * dt.
     wf = gaussian_packet(x, 0.0, o.sigma0, o.p0, o.hbar, o.mass)
     t_spread = 2.0 * o.mass * o.sigma0**2 / o.hbar
     n_snap = 16
     snaps = [wf]
     per = max(1, int(round(t_spread / n_snap / o.dt)))
     for _ in range(n_snap):
-        snaps.append(evolve_schrodinger(snaps[-1], np.zeros_like(x), o.dt, per))
+        snaps.append(evolve_schrodinger(snaps[-1], np.zeros_like(x), per * o.dt, 1))
     width_rows = []
     for wfc in snaps[4::4]:
         mean = np.sum(wfc.x * wfc.density()) * wfc.h
@@ -179,11 +182,16 @@ def cmd_oracle(cfg, args) -> dict:
         ens = nelson_evolve(ens, snaps, nu, o.dt * per / 4, 4 * n_snap,
                             seed=replica_seed(cfg.ensemble.master_seed, 1, "nelson"))
         bw = silverman_bandwidth(ens.walkers)
-        rho_w = walker_density(ens.walkers, x, bw)
+        try:
+            rho_w = walker_density(ens.walkers, x, bw)
+        except ValueError as e:
+            raise ConfigError(f"oracle: walker density: {e}") from e
         ab[name] = {
             "nu": nu,
             "L1_to_psi2": compare_densities(rho_w, snaps[-1].density(), "L1", wf.h),
             "reflections": ens.reflections,
+            "bandwidth": bw,
+            "kde_cell_bw": kde_cell(x, bw)[0] / bw,
         }
 
     report = {
@@ -213,9 +221,9 @@ def _trajectory_samples(text: str) -> tuple[np.ndarray, dict]:
     return samples, diag
 
 
-def _parse_input(path: str, parse, text: str):
+def _parse_input(path: str, parse, data):
     try:
-        return parse(text)
+        return parse(data)
     except ValueError as e:
         raise InputError(f"{path}: {e}") from e
 
@@ -226,17 +234,19 @@ def cmd_compare(cfg, args) -> dict:
     with open(args.oracle_file) as fh:
         oracle_text = fh.read()
     x, psi = _parse_input(args.oracle_file, load_wavefunction_csv, oracle_text)
+    _parse_input(args.oracle_file, grid_spacing, x)
     samples, diag = _parse_input(args.trajectory, _trajectory_samples, traj_text)
 
     h = x[1] - x[0]
     rho_oracle = np.abs(psi) ** 2
     rho_oracle = rho_oracle / (rho_oracle.sum() * h)
     bw = cfg.analysis.bandwidth or silverman_bandwidth(samples)
-    rho_m = walker_density(samples, x, bw)
+    rho_m = _parse_input(args.trajectory, lambda s: walker_density(s, x, bw), samples)
     verdict = {
         "L1": compare_densities(rho_m, rho_oracle, "L1", h),
         "KS": compare_densities(rho_m, rho_oracle, "KS", h),
         "bandwidth": bw,
+        "kde_cell_bw": kde_cell(x, bw)[0] / bw,
         "n_samples": int(len(samples)),
         "diagnostics": diag,
     }

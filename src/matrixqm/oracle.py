@@ -262,48 +262,80 @@ def compare_densities(rho_a, rho_b, metric: str, h: float) -> float:
     raise ValueError(f"unknown metric {metric!r}")
 
 
-# walker_density works on KDE_BLOCK_ROWS grid rows at a time, in one reused
-# buffer of KDE_BLOCK_ROWS x len(walkers) floats that stays in cache.
-KDE_BLOCK_ROWS = 8
-# numpy's SIMD exp leaves its fast path for arguments below about -708, where
-# the result is subnormal or 0, and each such element costs 5-35x a normal
-# one.  Far from the walkers most kernel entries are there, so exp runs on the
-# arguments clamped at KDE_EXP_FLOOR; the clamped entries are then set to 0,
-# and those in [KDE_EXP_ZERO, KDE_EXP_FLOOR) are recomputed by np.exp itself.
-# np.exp is exactly 0 below about -745.13, so every entry keeps the bits np.exp
-# gives it, and no bit of the density changes.
-KDE_EXP_FLOOR = -700.0
-KDE_EXP_ZERO = -746.0
+# walker_density bins on a cell of at most 1/KDE_CELLS_PER_BANDWIDTH
+# bandwidths, the grid spacing refined by an integer factor of at most
+# KDE_MAX_REFINE.  Past KDE_REACH bandwidths np.exp(-d**2 / 2) is exactly 0.
+KDE_CELLS_PER_BANDWIDTH = 5
+KDE_MAX_REFINE = 128
+KDE_REACH = np.sqrt(2.0 * 746.0)
+
+
+def grid_spacing(grid_x) -> float:
+    """The spacing of a uniform increasing grid of two or more points, from
+    its ends; ValueError unless every step is within 1e-6 of it."""
+    h = (grid_x[-1] - grid_x[0]) / (len(grid_x) - 1)
+    if not (h > 0 and np.all(np.abs(np.diff(grid_x) - h) <= 1e-6 * h)):
+        raise ValueError("the grid is not uniform and increasing")
+    return float(h)
+
+
+def kde_cell(grid_x, bandwidth: float) -> tuple[float, int]:
+    """(cell, refine): walker_density's cell is grid_x's spacing / refine, for
+    the least integer refine that makes it at most bandwidth / 5.  ValueError
+    for a grid that grid_spacing refuses, or a bandwidth that is not finite
+    and > 0 or needs refine > KDE_MAX_REFINE."""
+    h = grid_spacing(grid_x)
+    if not (np.isfinite(bandwidth) and bandwidth > 0):
+        raise ValueError(f"KDE bandwidth {bandwidth!r} is not finite and > 0")
+    refine = max(1.0, np.ceil(KDE_CELLS_PER_BANDWIDTH * h / bandwidth))
+    if not refine <= KDE_MAX_REFINE:
+        raise ValueError(f"KDE bandwidth {bandwidth:.3g} needs the grid spacing {h:.3g} "
+                         f"refined {refine:.3g}-fold, more than {KDE_MAX_REFINE}-fold")
+    return h / refine, int(refine)
 
 
 def walker_density(walkers: np.ndarray, grid_x: np.ndarray, bandwidth: float) -> np.ndarray:
     """Gaussian KDE of walker positions on grid_x, normalized on the grid.
 
-    Bitwise equal to the one-block formula
+    Linearly binned (Silverman, Appl. Statist. 31:93, 1982; Wand, J. Comput.
+    Graph. Statist. 3:433, 1994): each walker splits its unit weight between
+    the two nearest nodes of a grid of cell delta (kde_cell) that contains
+    grid_x, the weights are convolved once with exp(-(k delta)**2 / (2
+    bandwidth**2)) for |k| delta up to KDE_REACH * bandwidth, and the result
+    is read at grid_x.  Against the dense sum
     exp(-0.5 * (grid_x[:, None] - walkers[None, :]) ** 2 / bandwidth**2).sum(axis=1)
-    normalized: the same ufuncs run in place in the same order, every kernel
-    entry is np.exp of the same argument (see KDE_EXP_FLOOR), and each grid
-    point's sum still runs over the whole walker axis in walker order.
+    each walker's term is off by at most (delta / bandwidth)**2 / 8 of the
+    kernel's peak (linear interpolation of the Gaussian) before the
+    normalization; a walker on a node is exact up to rounding, and one beyond
+    the reach of every grid point counts for nothing in both.
+
+    ValueError for walkers that are missing or not finite, for a grid or
+    bandwidth that kde_cell refuses, and when no walker is within reach.
     """
-    h = grid_x[1] - grid_x[0]
-    walkers = np.asarray(walkers)
-    bw2 = bandwidth**2
-    rho = np.empty(len(grid_x))
-    buf = np.empty((KDE_BLOCK_ROWS, len(walkers)))
-    for i in range(0, len(grid_x), KDE_BLOCK_ROWS):
-        rows = grid_x[i:i + KDE_BLOCK_ROWS, None]
-        a = buf[:len(rows)]
-        np.subtract(rows, walkers, out=a)
-        np.square(a, out=a)
-        np.multiply(-0.5, a, out=a)
-        np.divide(a, bw2, out=a)
-        flat = a.reshape(-1)
-        keep = flat >= KDE_EXP_FLOOR
-        band = np.flatnonzero(~keep & (flat >= KDE_EXP_ZERO))
-        tail = flat[band]
-        np.maximum(flat, KDE_EXP_FLOOR, out=flat)
-        np.exp(flat, out=flat)
-        np.multiply(flat, keep, out=flat)
-        flat[band] = np.exp(tail)
-        rho[i:i + len(a)] = a.sum(axis=1)
-    return rho / (rho.sum() * h)
+    walkers = np.asarray(walkers, dtype=float)
+    if not (walkers.size and np.all(np.isfinite(walkers))):
+        raise ValueError("walker positions are missing or not all finite")
+    cell, refine = kde_cell(grid_x, bandwidth)
+    # Node k sits at grid_x[0] + k * cell, so grid_x[j] is node j * refine.
+    # The kernel stops at the reach, or at the farthest walker if nearer.
+    span = max(grid_x[-1], walkers.max()) - min(grid_x[0], walkers.min())
+    taps = int(min(KDE_REACH * bandwidth, span) / cell) + 1
+    last = (len(grid_x) - 1) * refine
+    u = (walkers - grid_x[0]) / cell
+    i = np.floor(u)
+    near = (i >= -taps - 1) & (i <= last + taps)
+    frac = (u - i)[near]
+    i = i[near].astype(np.intp)
+    lo, hi = (i.min(), i.max()) if i.size else (0, 0)
+    weights = (np.bincount(i - lo, 1.0 - frac, hi - lo + 2)
+               + np.bincount(i - lo + 1, frac, hi - lo + 2))
+    kernel = np.exp(-0.5 * (cell * np.arange(-taps, taps + 1)) ** 2 / bandwidth**2)
+    full = np.convolve(weights, kernel)  # full[t] is node lo - taps + t
+    t = np.arange(0, last + 1, refine) - (lo - taps)
+    covered = (t >= 0) & (t < len(full))
+    rho = np.zeros(len(grid_x))
+    rho[covered] = full[t[covered]]
+    norm = rho.sum() * (grid_x[1] - grid_x[0])
+    if not norm > 0:
+        raise ValueError("no walker is within the kernel's reach of the grid")
+    return rho / norm

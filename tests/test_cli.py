@@ -360,6 +360,36 @@ class TestOracle:
         assert "direct_hbar_over_m" in report["nelson_convention_ab"]
         assert os.path.exists(os.path.join(out, "oracle_psi.csv"))
 
+    def test_grid_too_coarse_for_walker_density_config_exit(self, tmp_path, capsys):
+        # Two grid points 12 apart would need a 228-fold refinement for the
+        # walkers' bandwidth of 0.26.
+        cfg = write_config(tmp_path, {"oracle": {"grid_points": 2, "walkers": 200}})
+        out = os.path.join(tmp_path, "orc")
+        assert main(["oracle", "--config", cfg, "--out", out]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: oracle: walker density: KDE bandwidth ")
+        assert err.count("\n") == 1 and "more than 128-fold" in err
+        assert not os.path.exists(out)
+
+
+def test_reports_state_kde_bandwidth_and_cell(tmp_path):
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    orc_cfg = write_config(tmp_path, {"oracle": {"grid_points": 48, "walkers": 200}},
+                           "orc.json")
+    out = os.path.join(tmp_path, "out")
+    main(["simulate", "--config", cfg, "--out", out])
+    main(["oracle", "--config", orc_cfg, "--out", out])
+    assert main(["compare", "--config", cfg, "--out", out,
+                 os.path.join(out, "record_000.csv"),
+                 os.path.join(out, "oracle_psi.csv")]) == EXIT_OK
+    report = json.load(open(os.path.join(out, "oracle_report.json")))
+    verdict = json.load(open(os.path.join(out, "compare_verdict.json")))
+    # 48 points over the default extent 24: the cell is 0.5 / ceil(2.5 / bandwidth).
+    for doc in [*report["nelson_convention_ab"].values(), verdict]:
+        bw = doc["bandwidth"]
+        assert doc["kde_cell_bw"] == pytest.approx(0.5 / np.ceil(2.5 / bw) / bw, rel=1e-9)
+        assert 0.1 < doc["kde_cell_bw"] <= 0.2
+
 
 class TestCompare:
     def test_report_only_verdict(self, tmp_path):
@@ -413,6 +443,35 @@ class TestCompare:
         err = capsys.readouterr().err
         assert f"input error: {paths[target]}: {reason}" in err
         assert "Traceback" not in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("target,text,reason", [
+        # Coinciding samples get Silverman's floor bandwidth, about 1e-12.
+        ("trajectory", "time," + ",".join(f"lam_0_{k}" for k in range(16)) + "\n"
+         + "0," + ",".join(["0.5"] * 16) + "\n",
+         "KDE bandwidth 5.17e-13 needs the grid spacing 0.1 refined"),
+        ("trajectory", "time,lam_0_0,lam_0_1\n0,0.5,nan\n",
+         "walker positions are missing or not all finite"),
+        ("oracle_file", "x,re_psi,im_psi\n0,1,0\n0.1,1,0\n0.3,1,0\n",
+         "the grid is not uniform and increasing"),
+    ])
+    def test_unusable_samples_or_grid_usage_exit(self, tmp_path, capsys, target, text,
+                                                 reason):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        paths = {"trajectory": os.path.join(tmp_path, "record.csv"),
+                 "oracle_file": os.path.join(tmp_path, "psi.csv")}
+        good = {"trajectory": "time,lam_0_0,lam_0_1\n0,0.5,0.7\n",
+                "oracle_file": "x,re_psi,im_psi\n0,1,0\n0.1,1,0\n0.2,1,0\n"}
+        for name, path in paths.items():
+            with open(path, "w") as fh:
+                fh.write(text if name == target else good[name])
+        out = os.path.join(tmp_path, "cmp")
+        rc = main(["compare", "--config", cfg, "--out", out,
+                   paths["trajectory"], paths["oracle_file"]])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {paths[target]}: {reason}")
+        assert err.count("\n") == 1
         assert not os.path.exists(out)
 
     def test_reads_records_without_convergence_column(self, tmp_path):

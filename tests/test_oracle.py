@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matrixqm.cli import EXIT_OK, main
+from matrixqm.estimators import silverman_bandwidth
 from matrixqm.oracle import (
-    KDE_BLOCK_ROWS,
+    KDE_REACH,
     NelsonEnsemble,
     WaveFunction,
     compare_densities,
@@ -19,6 +20,7 @@ from matrixqm.oracle import (
     gaussian_packet,
     grid_interp,
     harmonic_eigenstate,
+    kde_cell,
     madelung_decompose,
     nelson_drift,
     nelson_evolve,
@@ -42,6 +44,32 @@ def dense_density(walkers, x, bw):
     d2 = (x[:, None] - walkers[None, :]) ** 2
     dense = np.exp(-0.5 * d2 / bw**2).sum(axis=1)
     return dense / (dense.sum() * (x[1] - x[0]))
+
+
+def binning_bound(walkers, x, bw):
+    """Bound on max|walker_density - dense_density| from the binning error.
+
+    Binning on a cell delta interpolates each walker's kernel term
+    K(y) = exp(-y**2 / (2 bw**2)), y = x - w, linearly between two nodes at
+    most delta from w, so the term is off by at most delta**2 / 8 times the
+    largest |K''| within delta of y.  bw**2 |K''(y)| = |s**2 - 1| exp(-s**2 / 2)
+    with s = |y| / bw is at most 1, and it falls with s past sqrt(3).  Summed
+    over the walkers, that bounds the unnormalized sums S pointwise by E and
+    their integrals Z = h sum(S) by eta = h sum(E); so
+    |S' / Z' - S / Z| <= (E + (S / Z) eta) / (Z - eta), plus a rounding
+    slack of 1e-12 of the peak.  inf when eta >= Z.
+    """
+    h = x[1] - x[0]
+    cell = kde_cell(x, bw)[0]
+    s = np.abs(x[:, None] - walkers[None, :]) / bw
+    S = np.exp(-0.5 * s**2).sum(axis=1)
+    s = np.maximum(s - cell / bw, 0.0)
+    curvature = np.where(s < np.sqrt(3.0), 1.0, (s**2 - 1) * np.exp(-0.5 * s**2))
+    E = (cell / bw) ** 2 / 8 * curvature.sum(axis=1)
+    Z, eta = S.sum() * h, E.sum() * h
+    if Z <= eta:
+        return np.inf
+    return np.max((E + S / Z * eta) / (Z - eta)) + 1e-12 * S.max() / Z
 
 
 @pytest.fixture(autouse=True)
@@ -116,6 +144,17 @@ class TestSchrodinger:
         out = evolve_schrodinger(wf, V, 1e-3, int(round(half_period / 1e-3)))
         mean = np.sum(x * out.density()) * out.h
         assert mean == pytest.approx(-shift, abs=5e-3)
+
+    def test_free_packet_one_long_step(self):
+        # The kinetic factor is exact in Fourier space, so at V = 0 one step
+        # of per * dt is per steps of dt, and the clock keeps its bits.
+        x = periodic_grid()
+        wf = gaussian_packet(x, 0.3, 1.0, 0.7, HBAR, MASS)
+        dt, per = 1e-3, 125
+        one = evolve_schrodinger(wf, np.zeros_like(x), per * dt, 1)
+        many = evolve_schrodinger(wf, np.zeros_like(x), dt, per)
+        assert np.max(np.abs(one.psi - many.psi)) <= 1e-12
+        assert one.time == many.time
 
     @pytest.mark.parametrize("omega0", [0.0, 1.0])
     def test_split_step_bitwise_equal_to_out_of_place_loop(self, omega0):
@@ -288,48 +327,78 @@ class TestComparisons:
         rho = walker_density(rng.normal(0, 1, 2000), x, 0.3)
         assert np.sum(rho) * (x[1] - x[0]) == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("n", [3 * KDE_BLOCK_ROWS + 5, KDE_BLOCK_ROWS // 2])
-    def test_walker_density_blocks_match_dense(self, n):
-        x = periodic_grid(n=n)
-        walkers = np.random.default_rng(12).normal(0, 1, 3001)
-        d2 = (x[:, None] - walkers[None, :]) ** 2
-        dense = np.exp(-0.5 * d2 / 0.3**2).sum(axis=1)
-        dense = dense / (dense.sum() * (x[1] - x[0]))
-        assert np.array_equal(walker_density(walkers, x, 0.3), dense)
-
     @settings(max_examples=80, deadline=None)
     @given(
         n_walkers=st.integers(1, 3000),
-        blocks=st.integers(1, 20),
-        rem=st.integers(1, KDE_BLOCK_ROWS - 1),
+        n_grid=st.integers(9, 167),
         bw=st.floats(0.01, 3.0),
         spread=st.floats(0.0, 3.0),  # walker sd, in bandwidths
         half_width=st.floats(1.0, 60.0),  # grid half-width, in bandwidths
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_walker_density_bitwise_dense(self, n_walkers, blocks, rem, bw, spread,
-                                          half_width, seed):
-        # Half-widths past ~38.6 bandwidths reach rows whose kernel entries
-        # are all subnormal or all 0; the grid length is never a whole number
-        # of blocks.
+    def test_walker_density_within_binning_bound(self, n_walkers, n_grid, bw, spread,
+                                                 half_width, seed):
+        # Grids from 25 cells per bandwidth to 13 bandwidths per cell: the
+        # coarse ones are refined up to 67-fold.
         walkers = np.random.default_rng(seed).normal(0.0, spread * bw, n_walkers)
-        x = np.linspace(-half_width * bw, half_width * bw, blocks * KDE_BLOCK_ROWS + rem,
-                        endpoint=False)
-        assert np.array_equal(bits(walker_density(walkers, x, bw)),
-                              bits(dense_density(walkers, x, bw)))
+        x = np.linspace(-half_width * bw, half_width * bw, n_grid, endpoint=False)
+        err = np.max(np.abs(walker_density(walkers, x, bw) - dense_density(walkers, x, bw)))
+        assert err <= binning_bound(walkers, x, bw)
 
-    def test_walker_density_subnormal_rows(self):
-        # Kernel arguments -2 d^2 with d in [18.9, 19.1] give subnormal
-        # entries only; past 19.31 every entry is 0.
-        bw = 0.5
-        walkers = np.random.default_rng(13).uniform(-0.08, 0.08, 500)
-        x = np.linspace(-25.0, 25.0, 201, endpoint=False)
-        k = np.exp(-0.5 * (x[:, None] - walkers[None, :]) ** 2 / bw**2)
-        subnormal = (k > 0) & (k < np.finfo(float).tiny)
-        assert subnormal.all(axis=1).any()
-        assert (k == 0).all(axis=1).any()
-        assert np.array_equal(bits(walker_density(walkers, x, bw)),
-                              bits(dense_density(walkers, x, bw)))
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_walkers=st.integers(1, 3000),
+        n_grid=st.integers(9, 167),
+        bw=st.floats(0.01, 3.0),
+        half_width=st.floats(1.0, 60.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_walker_density_exact_for_walkers_on_grid_points(self, n_walkers, n_grid, bw,
+                                                              half_width, seed):
+        x = np.linspace(-half_width * bw, half_width * bw, n_grid, endpoint=False)
+        walkers = x[np.random.default_rng(seed).integers(0, n_grid, n_walkers)]
+        dense = dense_density(walkers, x, bw)
+        assert np.max(np.abs(walker_density(walkers, x, bw) - dense)) <= 1e-12 * dense.max()
+
+    def test_walker_density_reach(self):
+        # Walkers past either end of the grid but within reach count as in
+        # the dense sum; walkers past the reach count for nothing, there too.
+        bw = 0.3
+        x = np.linspace(-3.0, 3.0, 121)
+        rng = np.random.default_rng(14)
+        near = np.concatenate([rng.normal(0.0, 1.0, 500),
+                               rng.uniform(-3.0 - 4 * bw, -3.0, 50),
+                               rng.uniform(3.0, 3.0 + 4 * bw, 50)])
+        far = np.array([-3.0 - 1.001 * KDE_REACH * bw, 3.0 + 1.001 * KDE_REACH * bw, 1e6])
+        rho = walker_density(near, x, bw)
+        assert np.max(np.abs(rho - dense_density(near, x, bw))) <= binning_bound(near, x, bw)
+        both = np.concatenate([near, far])
+        assert np.array_equal(dense_density(both, x, bw), dense_density(near, x, bw))
+        assert np.max(np.abs(walker_density(both, x, bw) - rho)) <= 1e-14 * rho.max()
+
+    def test_walker_density_refines_coarse_grid(self):
+        # A grid spacing of 2 bandwidths is binned on a tenth of it.
+        bw = 0.25
+        x = np.linspace(-6.0, 6.0, 25)
+        cell, refine = kde_cell(x, bw)
+        assert refine == 10 and cell == pytest.approx(bw / 5, rel=1e-12)
+        walkers = np.random.default_rng(15).normal(0.0, 1.5, 2000)
+        err = np.max(np.abs(walker_density(walkers, x, bw) - dense_density(walkers, x, bw)))
+        assert err <= binning_bound(walkers, x, bw) < 0.1 * dense_density(walkers, x, bw).max()
+
+    @pytest.mark.parametrize("walkers,x,bw,match", [
+        # Silverman's rule floors the bandwidth of coinciding samples at
+        # about 1e-12; binning on a cell of it would take ~1e11 cells.
+        (np.full(16, 0.5), np.linspace(0.0, 1.0, 11), None, "more than 128-fold"),
+        (np.array([0.0, np.nan, 1.0]), np.linspace(0.0, 1.0, 11), 0.3, "not all finite"),
+        (np.zeros(3), np.array([0.0, 0.1, 0.3, 0.4]), 0.3, "not uniform"),
+        (np.zeros(3), np.linspace(0.0, 1.0, 11), 0.0, "not finite and > 0"),
+        (np.zeros(3), np.linspace(0.0, 1.0, 11), np.inf, "not finite and > 0"),
+        (np.array([1e6]), np.linspace(0.0, 1.0, 11), 0.3, "within the kernel's reach"),
+    ])
+    def test_walker_density_refuses(self, walkers, x, bw, match):
+        with pytest.raises(ValueError, match=match):
+            walker_density(walkers, x, silverman_bandwidth(walkers) if bw is None else bw)
 
     def test_walker_density_smallest_subnormal(self):
         # One walker on a fine grid: the kernel takes every value down to the
