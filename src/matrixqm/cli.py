@@ -178,7 +178,7 @@ def cmd_oracle(cfg, args) -> dict:
             continue
         if o.nu_convention == "direct" and name.startswith("nelson"):
             continue
-        ens = NelsonEnsemble(walkers=walkers0.copy(), nu=nu)
+        ens = NelsonEnsemble(walkers=walkers0.copy())
         ens = nelson_evolve(ens, snaps, nu, o.dt * per / 4, 4 * n_snap,
                             seed=replica_seed(cfg.ensemble.master_seed, 1, "nelson"))
         bw = silverman_bandwidth(ens.walkers)

@@ -122,36 +122,9 @@ class TrajectoryRecord:
             raise ValueError("times must be strictly increasing")
 
 
-# The stepping kernels act on stacks of configurations: X, V and f have shape
+# The stepping kernel acts on stacks of configurations: X, V and f have shape
 # (..., d, N, N), and each configuration in the stack evolves exactly as it
 # would alone.
-
-
-def _leapfrog_raw(X, V, f, params, dt):
-    """Velocity-Verlet on bare arrays, in place: X and V are overwritten and
-    the new force is returned.  X/V stay exactly symmetric because f is."""
-    kick = 0.5 * dt * (1.0 / (2.0 * params.mu))
-    scratch = kick * f
-    V += scratch
-    np.multiply(V, dt, out=scratch)
-    X += scratch
-    f = _stacked_force(X, params)
-    np.multiply(f, kick, out=scratch)
-    V += scratch
-    return f
-
-
-def step_leapfrog(
-    config: MatrixConfiguration,
-    params: ModelParams,
-    dt: float,
-) -> MatrixConfiguration:
-    """One velocity-Verlet step under F = force(); time advances by dt."""
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    X, V = config.X.copy(), config.V.copy()
-    _leapfrog_raw(X, V, force(config, params), params, dt)
-    return MatrixConfiguration(X=X, V=V, time=config.time + dt)
 
 
 class _OStep:
@@ -184,9 +157,9 @@ class _OStep:
         self.scale = np.concatenate(scale)
         self.unpack = unpack.ravel()
         self.eye = np.eye(N) if integ.project_trace_noise else None
-        # noise_mode offdiagonal refreshes (and damps) only off-diagonal entries.
-        self.offdiag_mask = None if all_noise else 1.0 - np.eye(N)
-        self.keep = None if all_noise else 1.0 - (1.0 - self.c1) * self.offdiag_mask
+        # The velocity damping; noise_mode offdiagonal leaves the diagonal
+        # undamped, as its noise (slot 0) is zero there.
+        self.keep = self.c1 if all_noise else 1.0 - (1.0 - self.c1) * (1.0 - np.eye(N))
 
 
 def _thermal_noise(o: _OStep, rngs, shape) -> np.ndarray:
@@ -221,27 +194,27 @@ def _langevin_ostep(params: ModelParams, dt: float, gamma: float, T: float) -> _
     return o
 
 
-def _langevin_raw(X, V, f, params, dt, o, rngs):
-    """One BAOAB step on bare arrays, in place like _leapfrog_raw; rngs holds
-    one generator per configuration."""
+def _step_raw(X, V, f, params, dt, o=None, rngs=None):
+    """One step on bare arrays, in place: X and V are overwritten and the new
+    force is returned.  X/V stay exactly symmetric because f is.
+
+    Without o, velocity-Verlet: half kick, one full drift, half kick.  With
+    o, BAOAB: half kick, half drift, the O-step's OU velocity refresh (rngs
+    holds one generator per configuration), half drift, half kick.
+    """
     kick = 0.5 * dt * (1.0 / (2.0 * params.mu))
+    drift = dt if o is None else 0.5 * dt
     scratch = kick * f
     V += scratch
-    np.multiply(V, 0.5 * dt, out=scratch)
+    np.multiply(V, drift, out=scratch)
     X += scratch
-
-    noise = _thermal_noise(o, rngs, X.shape)
-    noise *= o.c2
-    if o.offdiag_mask is not None:
-        # OU refresh only on off-diagonal entries; diagonal keeps its velocity.
+    if o is not None:
+        noise = _thermal_noise(o, rngs, X.shape)
+        noise *= o.c2
         V *= o.keep
-        noise *= o.offdiag_mask
-    else:
-        V *= o.c1
-    V += noise
-
-    np.multiply(V, 0.5 * dt, out=scratch)
-    X += scratch
+        V += noise
+        np.multiply(V, drift, out=scratch)
+        X += scratch
     f = _stacked_force(X, params)
     np.multiply(f, kick, out=scratch)
     V += scratch
@@ -264,8 +237,8 @@ def step_langevin(
     per independent off-diagonal entry).
     """
     X, V = config.X.copy(), config.V.copy()
-    _langevin_raw(X, V, force(config, params), params, dt, _langevin_ostep(params, dt, gamma, T),
-                  [rng])
+    _step_raw(X, V, force(config, params), params, dt, _langevin_ostep(params, dt, gamma, T),
+              [rng])
     return MatrixConfiguration(X=X, V=V, time=config.time + dt)
 
 
@@ -343,16 +316,14 @@ def run(
     t0 = [c.time for c in cfgs]
     record(0, t0)
     f = _stacked_force(X, params)
+    o = rngs = None
     if integ.mode == LANGEVIN:
         rngs = [np.random.default_rng(s) for s in seeds]
         o = _OStep(params, integ)
     # A blow-up is reported once, as a NumericsError, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, integ.steps + 1):
-            if integ.mode == MICROCANONICAL:
-                f = _leapfrog_raw(X, V, f, params, integ.dt)
-            else:
-                f = _langevin_raw(X, V, f, params, integ.dt, o, rngs)
+            f = _step_raw(X, V, f, params, integ.dt, o, rngs)
             if not np.isfinite(f).all():
                 r = int(np.argmin(np.isfinite(f).reshape(R, -1).all(axis=1)))
                 k = float(np.nansum(V[r] * V[r])) * params.mu

@@ -287,6 +287,20 @@ def estimate_current_velocity(
     )
 
 
+def _interior(v_field: FieldEstimate) -> np.ndarray:
+    """The cells of v_field's mask (every cell without one) less the grid's
+    outermost layer, where one-sided differences are lower order."""
+    grid = v_field.grid
+    cells = np.ones(grid.shape, dtype=bool) if v_field.mask is None else v_field.mask.copy()
+    for a in range(grid.ndim):
+        sl = [slice(None)] * grid.ndim
+        sl[a] = 0
+        cells[tuple(sl)] = False
+        sl[a] = -1
+        cells[tuple(sl)] = False
+    return cells
+
+
 def continuity_residual(rho_series, v_field: FieldEstimate, dt_between: float) -> float:
     """Mass-weighted L1 norm of d(rho)/dt + div(rho v) on interior cells.
 
@@ -313,16 +327,7 @@ def continuity_residual(rho_series, v_field: FieldEstimate, dt_between: float) -
         div += np.gradient(flux, grid.spacings[a], axis=a)
 
     resid = drho_dt + div
-    interior = np.ones(grid.shape, dtype=bool)
-    for a in range(grid.ndim):
-        sl = [slice(None)] * grid.ndim
-        sl[a] = 0
-        interior[tuple(sl)] = False
-        sl[a] = -1
-        interior[tuple(sl)] = False
-    if v_field.mask is not None:
-        interior &= v_field.mask
-    return float(np.sum(np.abs(resid[interior])) * grid.cell_volume)
+    return float(np.sum(np.abs(resid[_interior(v_field)])) * grid.cell_volume)
 
 
 def irrotationality_residual(v_field: FieldEstimate) -> float:
@@ -341,15 +346,7 @@ def irrotationality_residual(v_field: FieldEstimate) -> float:
     A = 0.5 * (J - np.swapaxes(J, 0, 1))
     curl_mag = np.sqrt(np.sum(A * A, axis=(0, 1)))
     grad_mag = np.sqrt(np.sum(J * J, axis=(0, 1)))
-    cells = v_field.mask if v_field.mask is not None else np.ones(grid.shape, dtype=bool)
-    # Exclude the outermost layer: one-sided differences there are lower order.
-    for a in range(grid.ndim):
-        sl = [slice(None)] * grid.ndim
-        sl[a] = 0
-        cells = cells.copy()
-        cells[tuple(sl)] = False
-        sl[a] = -1
-        cells[tuple(sl)] = False
+    cells = _interior(v_field)
     if not cells.any():
         return 0.0
     scale = grad_mag[cells].max()

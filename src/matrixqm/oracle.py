@@ -67,7 +67,6 @@ class MadelungPair:
 @dataclass
 class NelsonEnsemble:
     walkers: np.ndarray
-    nu: float
     time: float = 0.0
     reflections: int = 0
 
@@ -241,7 +240,7 @@ def nelson_evolve(
         x[below] = 2.0 * lo - x[below]
         x[above] = 2.0 * hi - x[above]
         t += dt
-    return NelsonEnsemble(walkers=x, nu=nu, time=t, reflections=reflections)
+    return NelsonEnsemble(walkers=x, time=t, reflections=reflections)
 
 
 def compare_densities(rho_a, rho_b, metric: str, h: float) -> float:

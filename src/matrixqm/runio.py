@@ -297,11 +297,17 @@ def wavefunction_to_csv(wf) -> str:
 
 
 def load_wavefunction_csv(text: str):
-    """(x, psi) from wavefunction_to_csv's format; ValueError if malformed."""
+    """(x, psi) from wavefunction_to_csv's format; ValueError if malformed, if a
+    value is not finite, or if psi is zero everywhere (|psi|^2 cannot be
+    normalized)."""
     lines = text.strip().splitlines()
     if not lines or lines[0] != "x,re_psi,im_psi":
         raise ValueError("header is not x,re_psi,im_psi")
     if len(lines) < 3:
         raise ValueError("fewer than two grid points")
     data = _numeric_rows(lines[1:], 3)
+    if not np.isfinite(data).all():
+        raise ValueError("a value is not finite")
+    if not data[:, 1:].any():
+        raise ValueError("psi is zero at every grid point")
     return data[:, 0], data[:, 1] + 1j * data[:, 2]

@@ -276,7 +276,7 @@ def test_criterion_07_nelson_schrodinger_cross_validation():
         snaps.append(evolve_schrodinger(snaps[-1], np.zeros_like(x), dt, per))
     rng = np.random.default_rng(5)
     ens = nelson_evolve(
-        NelsonEnsemble(walkers=rng.normal(0, sigma0, 100000), nu=nu),
+        NelsonEnsemble(walkers=rng.normal(0, sigma0, 100000)),
         snaps, nu, dt, nsnap * per, seed=7)
     bw = 1.06 * np.std(ens.walkers) * len(ens.walkers) ** -0.2
     l1_free = compare_densities(walker_density(ens.walkers, x, bw),
@@ -286,7 +286,7 @@ def test_criterion_07_nelson_schrodinger_cross_validation():
     wf0 = harmonic_eigenstate(x, 0, 1.0, hbar, mass)
     sig = np.sqrt(hbar / (2 * mass * 1.0))
     ens0 = nelson_evolve(
-        NelsonEnsemble(walkers=rng.normal(0, sig, 20000), nu=nu),
+        NelsonEnsemble(walkers=rng.normal(0, sig, 20000)),
         wf0, nu, 0.005, 2000, seed=8)
     bw0 = 1.06 * np.std(ens0.walkers) * len(ens0.walkers) ** -0.2
     l1_harm = compare_densities(walker_density(ens0.walkers, x, bw0),

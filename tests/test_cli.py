@@ -426,6 +426,11 @@ class TestCompare:
         # there is refused rather than compared as a second density.
         ("trajectory", "x,re_psi,im_psi\n0,1,0\n0.1,1,0\n",
          "no eigenvalue or position columns in trajectory file"),
+        # |psi|^2 of these cannot be normalized into a density.
+        ("oracle_file", "x,re_psi,im_psi\n0,0,0\n0.1,0,0\n0.2,0,0\n",
+         "psi is zero at every grid point"),
+        ("oracle_file", "x,re_psi,im_psi\n0,1,0\n0.1,nan,0\n0.2,1,0\n",
+         "a value is not finite"),
     ])
     def test_bad_input_file_usage_exit(self, tmp_path, capsys, target, text, reason):
         cfg = write_config(tmp_path, BASE_CONFIG)

@@ -235,7 +235,7 @@ class TestNelson:
         rng = np.random.default_rng(5)
         nu = HBAR / (2 * MASS)
         ens = nelson_evolve(
-            NelsonEnsemble(walkers=rng.normal(0, sigma0, 30000), nu=nu),
+            NelsonEnsemble(walkers=rng.normal(0, sigma0, 30000)),
             snaps, nu, dt, nsnap * per, seed=7)
         bw = 1.06 * np.std(ens.walkers) * len(ens.walkers) ** -0.2
         rho_w = walker_density(ens.walkers, x, bw)
@@ -252,7 +252,7 @@ class TestNelson:
         sig = np.sqrt(HBAR / (2 * MASS * omega0))
         rng = np.random.default_rng(6)
         ens = nelson_evolve(
-            NelsonEnsemble(walkers=rng.normal(0, sig, 20000), nu=nu),
+            NelsonEnsemble(walkers=rng.normal(0, sig, 20000)),
             wf, nu, 0.005, 2000, seed=8)
         var = ens.walkers.var()
         se = sig**2 * np.sqrt(2.0 / 20000)
@@ -267,9 +267,9 @@ class TestNelson:
         rng = np.random.default_rng(9)
         w0 = rng.normal(0, 1, 500)
         nu = HBAR / (2 * MASS)
-        a = nelson_evolve(NelsonEnsemble(walkers=w0.copy(), nu=nu), wf, nu,
+        a = nelson_evolve(NelsonEnsemble(walkers=w0.copy()), wf, nu,
                           0.01, 50, seed=3)
-        b = nelson_evolve(NelsonEnsemble(walkers=w0.copy(), nu=nu), wf, nu,
+        b = nelson_evolve(NelsonEnsemble(walkers=w0.copy()), wf, nu,
                           0.01, 50, seed=3)
         assert np.array_equal(a.walkers, b.walkers)
 
@@ -279,9 +279,9 @@ class TestNelson:
         wf = gaussian_packet(x, 0.5, 1.0, 0.8, HBAR, MASS)
         w0 = np.random.default_rng(10).normal(0, 1.5, 2000)
         nu = HBAR / (2 * MASS)
-        a = nelson_evolve(NelsonEnsemble(walkers=w0.copy(), nu=nu), wf, nu,
+        a = nelson_evolve(NelsonEnsemble(walkers=w0.copy()), wf, nu,
                           0.01, 100, seed=4)
-        b = nelson_evolve(NelsonEnsemble(walkers=w0.copy(), nu=nu), [wf], nu,
+        b = nelson_evolve(NelsonEnsemble(walkers=w0.copy()), [wf], nu,
                           0.01, 100, seed=4)
         assert a.reflections > 0
         assert a.reflections == b.reflections
