@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .core import random_config
-from .dynamics import NumericsError, frame_position_tol, run
+from .dynamics import LANGEVIN, NumericsError, frame_position_tol, run
 from .estimators import (
     EigenTrajectory,
     FieldEstimate,
@@ -33,8 +33,6 @@ from .estimators import (
     scaled_temperature,
     scaling_sweep,
     silverman_bandwidth,
-    sweep_point_run,
-    sweep_seeds,
 )
 from .oracle import (
     NelsonEnsemble,
@@ -118,12 +116,11 @@ def cmd_sweep(cfg, args) -> dict:
     if cfg.model.d < 2:
         raise ConfigError("sweep: scaling formulas require model.d >= 2 (singular at d = 1)")
     t0 = time.monotonic()
-    points = scaling_sweep(cfg.model, cfg.sweep, cfg.ensemble.master_seed)
-    seeds = [{"N": N, "replica": r, **sweep_seeds(cfg.ensemble.master_seed, N, r)}
-             for N in cfg.sweep.N_list for r in range(cfg.sweep.replicas)]
-    stopping = jacobi_stopping({
-        str(N): frame_position_tol(*sweep_point_run(cfg.model, cfg.sweep, N))
-        for N in cfg.sweep.N_list})
+    results = scaling_sweep(cfg.model, cfg.sweep, cfg.ensemble.master_seed)
+    points = [point for point, _, _ in results]
+    seeds = [{"N": point.N, "replica": r, **seed}
+             for point, replica_seeds, _ in results for r, seed in enumerate(replica_seeds)]
+    stopping = jacobi_stopping({str(point.N): tol for point, _, tol in results})
     return {
         "sweep.csv": sweep_to_csv(points, cfg.model.pair_sum, cfg.oracle.nu_convention),
         "sweep_manifest.json": build_manifest(cfg, seeds, time.monotonic() - t0, stopping),
@@ -250,9 +247,9 @@ def cmd_compare(cfg, args) -> dict:
         "n_samples": int(len(samples)),
         "diagnostics": diag,
     }
-    # nu_hat / nu_pred ratio when the run admits the scaling formulas.
+    # t and nu_pred of a thermostat at T > 0; a microcanonical run ignores temperature.
     params = cfg.model
-    if params.d >= 2 and cfg.integrator.temperature > 0:
+    if params.d >= 2 and cfg.integrator.mode == LANGEVIN and cfg.integrator.temperature > 0:
         t_sc = scaled_temperature(params, cfg.integrator.temperature, params.N)
         verdict["t_scaled"] = t_sc
         verdict["nu_pred"] = predicted_diffusion(params, t_sc)

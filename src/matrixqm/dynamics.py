@@ -42,9 +42,8 @@ FRAME_DISPLACEMENT_FRACTION = 1e-3
 class NumericsError(RuntimeError):
     """NaN/Inf encountered during integration; carries the step and replica index."""
 
-    def __init__(self, step: int, message: str, replica: int | None = None,
-                 context: str | None = None):
-        where = f"step {step}" if replica is None else f"replica {replica}, step {step}"
+    def __init__(self, step: int, message: str, replica: int, context: str | None = None):
+        where = f"replica {replica}, step {step}"
         if context is not None:
             where = f"{context}: {where}"
         super().__init__(f"{where}: {message}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ModelParams, random_config
-from .dynamics import LANGEVIN, IntegratorConfig, NumericsError, run
+from .dynamics import LANGEVIN, IntegratorConfig, NumericsError, frame_position_tol, run
 
 
 @dataclass
@@ -52,10 +52,8 @@ class Grid:
 
     @classmethod
     def regular(cls, lo, hi, n_points, ndim=1):
-        lo = np.broadcast_to(np.atleast_1d(lo), (ndim,))
-        hi = np.broadcast_to(np.atleast_1d(hi), (ndim,))
-        n = np.broadcast_to(np.atleast_1d(n_points), (ndim,))
-        return cls(axes=tuple(np.linspace(lo[i], hi[i], int(n[i])) for i in range(ndim)))
+        """n_points from lo to hi on each of ndim axes."""
+        return cls(axes=tuple(np.linspace(lo, hi, n_points) for _ in range(ndim)))
 
     @property
     def ndim(self):
@@ -93,10 +91,6 @@ class FieldEstimate:
 class DiffusionEstimate:
     nu_hat: float
     stderr: float
-
-    def __post_init__(self):
-        if self.nu_hat < 0 or self.stderr < 0:
-            raise ValueError("nu_hat and stderr must be >= 0")
 
 
 @dataclass
@@ -486,20 +480,24 @@ class SweepSettings:
             raise ValueError("spread: must be >= 0")
 
 
-def sweep_seeds(master_seed: int, N: int, replica: int) -> dict:
-    """Seeds of one replica at one sweep point: its initial configuration, its
-    burn-in noise and its measurement-run noise."""
-    state = np.random.SeedSequence([master_seed, int(N), replica]).generate_state(3)
-    return dict(zip(("init", "burn", "run"), (int(x) for x in state)))
+def sweep_point(base_params: ModelParams, settings: SweepSettings, N: int,
+                master_seed: int) -> tuple[ScalingPoint, list, float]:
+    """Measure the eigenvalue diffusion constant at one point of the fixed-t line.
 
+    The temperature is set to 8(d-1) mu omega^2 t / N, an ensemble of
+    Langevin runs is thermalized and recorded, particle trajectories are
+    tracked through joint-diagonalized frames, and the diffusion constant
+    fitted over 5..50 recorded lags is reported next to the scaling-limit
+    prediction.  Replica r's initial configuration, burn-in noise and
+    measurement-run noise are seeded from SeedSequence([master_seed, N, r]),
+    so the point does not depend on the rest of settings.N_list.
 
-def sweep_point_run(base_params: ModelParams, settings: SweepSettings,
-                    N: int) -> tuple[ModelParams, IntegratorConfig]:
-    """The model at N and the recorded Langevin run of that sweep point; its
-    burn-in is the same run with other steps and no frames."""
-    s = settings
-    params = dataclasses.replace(base_params, N=int(N))
-    return params, IntegratorConfig(
+    Returns the ScalingPoint, each replica's {init, burn, run} seeds and the
+    position_tol of the measurement run's frames.
+    """
+    s, N = settings, int(N)
+    params = dataclasses.replace(base_params, N=N)
+    measure = IntegratorConfig(
         mode=LANGEVIN,
         dt=s.dt,
         steps=s.steps,
@@ -509,81 +507,68 @@ def sweep_point_run(base_params: ModelParams, settings: SweepSettings,
         record_frames=True,
         project_trace_noise=True,
     )
+    seeds = []
+    for r in range(s.replicas):
+        state = np.random.SeedSequence([master_seed, N, r]).generate_state(3)
+        seeds.append(dict(zip(("init", "burn", "run"), (int(x) for x in state))))
+    configs = [random_config(params, s.spread, seed["init"]) for seed in seeds]
+    burn = dataclasses.replace(measure, steps=s.burn_in_steps,
+                               record_every=max(1, s.burn_in_steps), record_frames=False)
+    try:
+        burnt = run(configs, params, burn, [seed["burn"] for seed in seeds])
+    except NumericsError as e:
+        raise e.within(f"sweep N={N}, burn-in run") from None
+    try:
+        records = run([rec.final_config for rec in burnt], params, measure,
+                      [seed["run"] for seed in seeds])
+    except NumericsError as e:
+        raise e.within(f"sweep N={N}, measurement run") from None
+    positions, residuals, converged, sweeps = (
+        np.stack([getattr(rec, name) for rec in records])
+        for name in ("positions", "residuals", "converged", "sweeps"))
+    # Every replica records at the same times (the runs share t0 and dt).
+    traj = track_particles(positions, records[0].times)
+    # Remove the per-frame collective (trace-mode) motion.
+    traj.positions = traj.positions - traj.positions.mean(axis=2, keepdims=True)
 
-
-def scaling_sweep(
-    base_params: ModelParams,
-    settings: SweepSettings,
-    master_seed: int,
-) -> list:
-    """Measure the eigenvalue diffusion constant along the fixed-t trajectory.
-
-    For each N in settings.N_list the temperature is set to
-    8(d-1) mu omega^2 t / N, an ensemble of Langevin runs is thermalized and
-    recorded, particle trajectories are tracked through joint-diagonalized
-    frames, and the diffusion constant fitted over 5..50 recorded lags is
-    reported next to the scaling-limit prediction.  The comparison is a
-    report, not an assertion: the prediction holds only in the N -> infinity,
-    T -> 0 limit.
-    """
-    if base_params.d < 2:
-        raise ValueError("scaling sweep requires d >= 2")
-    s = settings
     dt_rec = s.dt * s.record_every
-    fit_window = (5 * dt_rec, 50 * dt_rec)
-    points = []
-    for N in s.N_list:
-        params, measure = sweep_point_run(base_params, s, N)
-        seeds = [sweep_seeds(master_seed, N, r) for r in range(s.replicas)]
-        configs = [random_config(params, s.spread, seed["init"]) for seed in seeds]
-        burn = dataclasses.replace(measure, steps=s.burn_in_steps,
-                                   record_every=max(1, s.burn_in_steps), record_frames=False)
-        try:
-            burnt = run(configs, params, burn, [seed["burn"] for seed in seeds])
-        except NumericsError as e:
-            raise e.within(f"sweep N={N}, burn-in run") from None
-        try:
-            records = run([rec.final_config for rec in burnt], params, measure,
-                          [seed["run"] for seed in seeds])
-        except NumericsError as e:
-            raise e.within(f"sweep N={N}, measurement run") from None
-        positions, residuals, converged, sweeps = (
-            np.stack([getattr(rec, name) for rec in records])
-            for name in ("positions", "residuals", "converged", "sweeps"))
-        # Every replica records at the same times (the runs share t0 and dt).
-        traj = track_particles(positions, records[0].times)
-        # Remove the per-frame collective (trace-mode) motion.
-        traj.positions = traj.positions - traj.positions.mean(axis=2, keepdims=True)
+    est = estimate_diffusion(traj, (5 * dt_rec, 50 * dt_rec), seed=master_seed + N)
 
-        est = estimate_diffusion(traj, fit_window, seed=master_seed + int(N))
-        nu_pred = predicted_diffusion(params, s.t_scaled)
+    # Irrotationality diagnostic at mid-run on a d-dimensional grid.
+    # SweepSettings guarantees >= 11 records, so the middle one has
+    # neighbours at lag 1.
+    mid_t = traj.times[len(traj.times) // 2]
+    all_pos = traj.positions.reshape(-1, params.d)
+    lo = np.percentile(all_pos, 5, axis=0)
+    hi = np.percentile(all_pos, 95, axis=0)
+    grid = Grid(axes=tuple(
+        np.linspace(lo[a], hi[a], IRROT_GRID_POINTS) for a in range(params.d)
+    ))
+    bw = silverman_bandwidth(all_pos[:, 0])
+    irrot = irrotationality_residual(estimate_current_velocity(traj, mid_t, grid, bw, lag=1))
 
-        # Irrotationality diagnostic at mid-run on a d-dimensional grid.
-        # SweepSettings guarantees >= 11 records, so the middle one has
-        # neighbours at lag 1.
-        mid_t = traj.times[len(traj.times) // 2]
-        all_pos = traj.positions.reshape(-1, params.d)
-        lo = np.percentile(all_pos, 5, axis=0)
-        hi = np.percentile(all_pos, 95, axis=0)
-        grid = Grid(axes=tuple(
-            np.linspace(lo[a], hi[a], IRROT_GRID_POINTS) for a in range(params.d)
-        ))
-        bw = silverman_bandwidth(all_pos[:, 0])
-        irrot = irrotationality_residual(estimate_current_velocity(traj, mid_t, grid, bw, lag=1))
+    point = ScalingPoint(
+        N=N,
+        T=measure.temperature,
+        t_scaled=scaled_temperature(params, measure.temperature, N),
+        nu_hat=est.nu_hat,
+        nu_stderr=est.stderr,
+        nu_pred=predicted_diffusion(params, s.t_scaled),
+        hbar_emergent=emergent_hbar(params, est.nu_hat),
+        irrot_residual=irrot,
+        # Means over replicas of per-replica means.
+        mean_frame_residual=float(residuals.mean(axis=1).mean()),
+        nonconverged_frames=int(np.sum(~converged)),
+        ambiguous_steps=int(np.sum(traj.ambiguous)),
+        mean_frame_sweeps=float(sweeps.mean(axis=1).mean()),
+    )
+    return point, seeds, frame_position_tol(params, measure)
 
-        points.append(ScalingPoint(
-            N=int(N),
-            T=measure.temperature,
-            t_scaled=scaled_temperature(params, measure.temperature, int(N)),
-            nu_hat=est.nu_hat,
-            nu_stderr=est.stderr,
-            nu_pred=nu_pred,
-            hbar_emergent=emergent_hbar(params, est.nu_hat),
-            irrot_residual=irrot,
-            # Means over replicas of per-replica means.
-            mean_frame_residual=float(residuals.mean(axis=1).mean()),
-            nonconverged_frames=int(np.sum(~converged)),
-            ambiguous_steps=int(np.sum(traj.ambiguous)),
-            mean_frame_sweeps=float(sweeps.mean(axis=1).mean()),
-        ))
-    return points
+
+def scaling_sweep(base_params: ModelParams, settings: SweepSettings, master_seed: int) -> list:
+    """sweep_point at each N of settings.N_list, in order.
+
+    The comparison with the prediction is a report, not an assertion: the
+    prediction holds only in the N -> infinity, T -> 0 limit.
+    """
+    return [sweep_point(base_params, settings, N, master_seed) for N in settings.N_list]

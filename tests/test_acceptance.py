@@ -326,7 +326,7 @@ def test_criterion_09_scaling_trend_report():
             st = SweepSettings(t_scaled=t_scaled, N_list=n_list, replicas=4,
                                burn_in_steps=500, steps=1500, dt=0.02, gamma=0.5,
                                record_every=5, spread=0.3)
-            pts = scaling_sweep(base, st, master)
+            pts = [q for q, _, _ in scaling_sweep(base, st, master)]
             per_seed[master] = pts
             for q in pts:
                 for val in (q.nu_hat, q.nu_stderr, q.nu_pred, q.hbar_emergent,

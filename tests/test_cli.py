@@ -310,6 +310,26 @@ class TestSweep:
         b = open(os.path.join(out2, "sweep.csv"), "rb").read()
         assert a == b
 
+    def test_point_independent_of_rest_of_n_list(self, tmp_path):
+        # Each sweep point seeds its runs from (master_seed, N, replica) alone.
+        outputs = {}
+        for n_list in ([4], [3, 4]):
+            doc = {"model": {"d": 2, "N": 4},
+                   "sweep": {"t_scaled": 0.1, "N_list": n_list, "replicas": 2,
+                             "burn_in_steps": 20, "steps": 50, "dt": 0.02,
+                             "gamma": 0.5, "record_every": 5, "spread": 0.3},
+                   "ensemble": {"master_seed": 12}}
+            cfg = write_config(tmp_path, doc, f"cfg{len(n_list)}.json")
+            out = os.path.join(tmp_path, f"sw{len(n_list)}")
+            assert main(["sweep", "--config", cfg, "--out", out]) == EXIT_OK
+            manifest = json.load(open(os.path.join(out, "sweep_manifest.json")))
+            outputs[len(n_list)] = (
+                open(os.path.join(out, "sweep.csv"), "rb").read().splitlines()[-1],
+                [s for s in manifest["per_replica_seeds"] if s["N"] == 4],
+                manifest["jacobi_stopping"]["position_tol"]["4"])
+        assert outputs[1][0].startswith(b"4,")
+        assert outputs[1] == outputs[2]
+
     def test_numeric_abort_writes_nothing(self, tmp_path, capsys):
         # A sweep aborts at step 4 of its burn-in; like simulate, it must
         # leave no output directory behind.
@@ -392,8 +412,10 @@ def test_reports_state_kde_bandwidth_and_cell(tmp_path):
 
 
 class TestCompare:
-    def test_report_only_verdict(self, tmp_path):
-        cfg = write_config(tmp_path, BASE_CONFIG)
+    @pytest.mark.parametrize("mode", ["langevin", "microcanonical"])
+    def test_report_only_verdict(self, tmp_path, mode):
+        cfg = write_config(tmp_path, {**BASE_CONFIG, "integrator": {
+            **BASE_CONFIG["integrator"], "mode": mode}})
         out = os.path.join(tmp_path, "cmp")
         main(["simulate", "--config", cfg, "--out", out])
         orc_doc = {"oracle": {"grid_points": 128, "extent": 16.0, "dt": 0.002,
@@ -408,8 +430,11 @@ class TestCompare:
         assert np.isfinite(verdict["L1"])
         assert np.isfinite(verdict["KS"])
         assert "report only" in verdict["note"]
-        assert verdict["t_scaled"] == pytest.approx(
-            4 * 0.3 / (8 * 1 * 1), rel=1e-12)
+        if mode == "langevin":
+            assert verdict["t_scaled"] == pytest.approx(4 * 0.3 / (8 * 1 * 1), rel=1e-12)
+            assert verdict["nu_pred"] > 0
+        else:  # the run ignored its temperature, so the verdict states none
+            assert "t_scaled" not in verdict and "nu_pred" not in verdict
 
     def test_missing_trajectory_io_exit(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)
@@ -642,8 +667,8 @@ def test_tracer_runs_every_command(tmp_path):
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == EXIT_OK, (argv[0], proc.stderr)
         seen |= {span[0] for span in json.load(open(spans))["spans"]}
-    for name in ("dynamics.run", "core.joint_diagonalize", "estimators.track_particles",
-                 "estimators.estimate_diffusion", "estimators.estimate_current_velocity",
-                 "oracle.nelson_evolve", "oracle.walker_density", "runio.record_to_csv",
-                 "runio.load_record_csv"):
+    for name in ("dynamics.run", "core.joint_diagonalize", "estimators.scaling_sweep",
+                 "estimators.track_particles", "estimators.estimate_diffusion",
+                 "estimators.estimate_current_velocity", "oracle.nelson_evolve",
+                 "oracle.walker_density", "runio.record_to_csv", "runio.load_record_csv"):
         assert name in seen, name

@@ -351,7 +351,7 @@ class TestScalingSweep:
         p = ModelParams(d=2, N=4)
         st = SweepSettings(t_scaled=0.1, N_list=[4], replicas=2, burn_in_steps=100,
                            steps=300, dt=0.02, gamma=0.5, record_every=5, spread=0.3)
-        pts = scaling_sweep(p, st, 7)
+        pts = [q for q, _, _ in scaling_sweep(p, st, 7)]
         assert len(pts) == 1
         q = pts[0]
         assert q.N == 4
@@ -362,8 +362,8 @@ class TestScalingSweep:
             assert np.isfinite(val)
         assert q.nonconverged_frames == 0
         assert 1.0 <= q.mean_frame_sweeps < 100.0
-        pts2 = scaling_sweep(p, st, 7)
-        assert pts2[0].nu_hat == q.nu_hat
+        (q2, _, _), = scaling_sweep(p, st, 7)
+        assert q2.nu_hat == q.nu_hat
 
     def test_nonconverged_frames_summed_over_replicas(self, monkeypatch):
         import dataclasses
@@ -377,4 +377,5 @@ class TestScalingSweep:
         st = SweepSettings(t_scaled=0.1, N_list=[4], replicas=2, burn_in_steps=0,
                            steps=100, dt=0.02, gamma=0.5, record_every=5, spread=0.3)
         # 21 recorded frames (t = 0 and every 5th of 100 steps) per replica
-        assert scaling_sweep(p, st, 7)[0].nonconverged_frames == 2 * 21
+        (q, _, _), = scaling_sweep(p, st, 7)
+        assert q.nonconverged_frames == 2 * 21
