@@ -288,7 +288,6 @@ def _pair_angles(A: np.ndarray) -> np.ndarray:
 def joint_diagonalize(
     config: MatrixConfiguration,
     max_sweeps: int = 1000,
-    tol: float = JACOBI_ANGLE_TOL,
     initial_frame: np.ndarray | None = None,
     position_tol: float = 0.0,
 ) -> ParticleFrame:
@@ -302,9 +301,9 @@ def joint_diagonalize(
     O <- G O (the orthogonal analogue of the simultaneous updates of FFDiag,
     Ziehe et al., JMLR 5, 2004).
 
-    It stops, converged, once every angle is at most tol radians, or, with
-    position_tol > 0, once the next update would change the diagonal little
-    to first order: it would shift no diagonal entry by more than
+    It stops, converged, once every angle is at most JACOBI_ANGLE_TOL
+    radians, or, with position_tol > 0, once the next update would change
+    the diagonal little to first order: it would shift no diagonal entry by more than
     position_tol, 2 max_{a,p} |sum_q K_pq A_a,pq| <= position_tol, and it
     would lower the squared off-diagonal norm by at most
     POSITION_RULE_RESIDUAL_DROP of itself.  The second bound keeps the
@@ -331,7 +330,7 @@ def joint_diagonalize(
     sweeps = 0
     while True:
         K = _pair_angles(A)
-        if np.max(np.abs(K)) <= tol:
+        if np.max(np.abs(K)) <= JACOBI_ANGLE_TOL:
             converged = True
             break
         if position_tol > 0:

@@ -31,9 +31,6 @@ from .core import (
 MICROCANONICAL = "microcanonical"
 LANGEVIN = "langevin"
 
-NOISE_ALL = "all"
-NOISE_OFFDIAG = "offdiagonal"
-
 # A recorded Langevin frame's particle positions are resolved to this fraction
 # of the free thermal displacement per record interval (frame_position_tol).
 FRAME_DISPLACEMENT_FRACTION = 1e-3
@@ -65,7 +62,6 @@ class IntegratorConfig:
     temperature: float = 0.0
     record_every: int = 1
     record_frames: bool = False
-    noise_mode: str = NOISE_ALL
     project_trace_noise: bool = False
 
     def __post_init__(self):
@@ -83,10 +79,6 @@ class IntegratorConfig:
                 raise ValueError("gamma: langevin mode requires gamma > 0")
             if self.temperature < 0:
                 raise ValueError("temperature: must be >= 0")
-        if self.noise_mode not in (NOISE_ALL, NOISE_OFFDIAG):
-            raise ValueError(
-                f"noise_mode: must be {NOISE_ALL} or {NOISE_OFFDIAG}, got {self.noise_mode!r}"
-            )
 
 
 @dataclass
@@ -127,38 +119,47 @@ class TrajectoryRecord:
 
 
 class _OStep:
-    """Constants of the BAOAB O-step, built once per run rather than per step.
+    """Constants of the BAOAB O-step: every entry is damped by c1 and
+    refreshed with c2 times noise of its Gibbs variance T/m_e (m_e = 2mu on
+    the diagonal, 4mu per independent off-diagonal entry).
 
-    The thermal noise has per-entry variance T/m_e (m_e = 2mu on the
-    diagonal, 4mu per independent off-diagonal entry).  A configuration's
-    draws are packed as [0, off-diagonal (d * n_off), diagonal (d * N)],
-    direction by direction within each block, and scale holds each slot's
-    standard deviation.  unpack[k] is the packed slot of flat entry k of the
-    (d, N, N) noise stack: both triangles read the same off-diagonal draw,
-    and the diagonal reads slot 0 when noise_mode is offdiagonal.
+    A configuration's draws are packed as [off-diagonal (d * n_off),
+    diagonal (d * N)], direction by direction within each block, and scale
+    holds each slot's standard deviation.  unpack[k] is the packed slot of
+    flat entry k of the (d, N, N) noise stack: both triangles read the same
+    off-diagonal draw.  With project_trace_noise, eye removes each noise
+    matrix's trace.
     """
 
-    def __init__(self, params: ModelParams, integ: IntegratorConfig):
-        d, N, mu, T = params.d, params.N, params.mu, integ.temperature
-        all_noise = integ.noise_mode == NOISE_ALL
-        self.c1 = np.exp(-integ.gamma * integ.dt)
+    def __init__(self, params: ModelParams, dt: float, gamma: float, T: float,
+                 project_trace_noise: bool):
+        d, N, mu = params.d, params.N, params.mu
+        self.c1 = np.exp(-gamma * dt)
         self.c2 = np.sqrt(1.0 - self.c1 * self.c1)
         iu = np.triu_indices(N, 1)
         n_off = len(iu[0])
-        scale = [np.zeros(1), np.full(d * n_off, np.sqrt(T / (4.0 * mu)))]
-        unpack = np.zeros((d, N, N), dtype=np.intp)
-        off_slots = 1 + np.arange(d * n_off).reshape(d, n_off)
-        unpack[:, iu[0], iu[1]] = unpack[:, iu[1], iu[0]] = off_slots
-        if all_noise:
-            scale.append(np.full(d * N, np.sqrt(T / (2.0 * mu))))
-            unpack[:, np.arange(N), np.arange(N)] = (
-                1 + d * n_off + np.arange(d * N).reshape(d, N))
-        self.scale = np.concatenate(scale)
+        self.scale = np.concatenate([np.full(d * n_off, np.sqrt(T / (4.0 * mu))),
+                                     np.full(d * N, np.sqrt(T / (2.0 * mu)))])
+        unpack = np.empty((d, N, N), dtype=np.intp)
+        unpack[:, iu[0], iu[1]] = unpack[:, iu[1], iu[0]] = np.arange(d * n_off).reshape(d, n_off)
+        unpack[:, np.arange(N), np.arange(N)] = d * n_off + np.arange(d * N).reshape(d, N)
         self.unpack = unpack.ravel()
-        self.eye = np.eye(N) if integ.project_trace_noise else None
-        # The velocity damping; noise_mode offdiagonal leaves the diagonal
-        # undamped, as its noise (slot 0) is zero there.
-        self.keep = self.c1 if all_noise else 1.0 - (1.0 - self.c1) * (1.0 - np.eye(N))
+        self.eye = np.eye(N) if project_trace_noise else None
+
+
+@lru_cache(maxsize=32)
+def _ostep(params: ModelParams, dt: float, gamma: float, T: float,
+           project_trace_noise: bool = False) -> _OStep:
+    """The O-step constants of run and step_langevin, built once per argument set.
+
+    ModelParams is frozen, so it keys the cache; the arrays handed to every
+    caller are read-only.
+    """
+    o = _OStep(params, dt, gamma, T, project_trace_noise)
+    for a in (o.scale, o.unpack, o.eye):
+        if a is not None:
+            a.flags.writeable = False
+    return o
 
 
 def _thermal_noise(o: _OStep, rngs, shape) -> np.ndarray:
@@ -166,9 +167,9 @@ def _thermal_noise(o: _OStep, rngs, shape) -> np.ndarray:
     configuration: each draws its off-diagonal entries, then its diagonal
     ones, in one standard_normal call.  sd * z + 0.0 is the value
     normal(0.0, sd) returns for the same z."""
-    packed = np.zeros((len(rngs), o.scale.size))
+    packed = np.empty((len(rngs), o.scale.size))
     for rng, row in zip(rngs, packed):
-        rng.standard_normal(out=row[1:])
+        rng.standard_normal(out=row)
     packed *= o.scale
     packed += 0.0
     noise = packed.take(o.unpack, axis=-1).reshape(shape)
@@ -177,20 +178,6 @@ def _thermal_noise(o: _OStep, rngs, shape) -> np.ndarray:
         tr = np.trace(noise, axis1=-2, axis2=-1) / N
         noise -= tr[..., None, None] * o.eye
     return noise
-
-
-@lru_cache(maxsize=32)
-def _langevin_ostep(params: ModelParams, dt: float, gamma: float, T: float) -> _OStep:
-    """step_langevin's O-step constants, built once per (params, dt, gamma, T).
-
-    ModelParams is frozen, so it keys the cache; the arrays handed to every
-    caller are read-only.
-    """
-    o = _OStep(params, IntegratorConfig(mode=LANGEVIN, dt=dt, steps=1, gamma=gamma,
-                                        temperature=T))
-    o.scale.flags.writeable = False
-    o.unpack.flags.writeable = False
-    return o
 
 
 def _step_raw(X, V, f, params, dt, o=None, rngs=None):
@@ -210,7 +197,7 @@ def _step_raw(X, V, f, params, dt, o=None, rngs=None):
     if o is not None:
         noise = _thermal_noise(o, rngs, X.shape)
         noise *= o.c2
-        V *= o.keep
+        V *= o.c1
         V += noise
         np.multiply(V, drift, out=scratch)
         X += scratch
@@ -236,8 +223,7 @@ def step_langevin(
     per independent off-diagonal entry).
     """
     X, V = config.X.copy(), config.V.copy()
-    _step_raw(X, V, force(config, params), params, dt, _langevin_ostep(params, dt, gamma, T),
-              [rng])
+    _step_raw(X, V, force(config, params), params, dt, _ostep(params, dt, gamma, T), [rng])
     return MatrixConfiguration(X=X, V=V, time=config.time + dt)
 
 
@@ -318,7 +304,7 @@ def run(
     o = rngs = None
     if integ.mode == LANGEVIN:
         rngs = [np.random.default_rng(s) for s in seeds]
-        o = _OStep(params, integ)
+        o = _ostep(params, integ.dt, integ.gamma, integ.temperature, integ.project_trace_noise)
     # A blow-up is reported once, as a NumericsError, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, integ.steps + 1):

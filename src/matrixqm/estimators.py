@@ -464,6 +464,8 @@ class SweepSettings:
             isinstance(n, int) and not isinstance(n, bool) and n >= 2 for n in self.N_list
         ):
             raise ValueError(f"N_list: must be a non-empty list of ints >= 2, got {self.N_list}")
+        if len(set(self.N_list)) != len(self.N_list):
+            raise ValueError(f"N_list: must not repeat an N, got {self.N_list}")
         if self.replicas < 1:
             raise ValueError("replicas: must be >= 1")
         if self.burn_in_steps < 0:

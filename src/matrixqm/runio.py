@@ -10,7 +10,7 @@ Each section is filled straight into the type that uses it, and that type's
 
 - ``model`` (ModelParams): d, N, mu, omega, kappa, pair_sum
 - ``integrator`` (IntegratorConfig): mode, dt, steps, gamma, temperature,
-  record_every, record_frames, noise_mode, project_trace_noise
+  record_every, record_frames, project_trace_noise
 - ``ensemble``: replicas, master_seed, spread
 - ``analysis``: bandwidth
 - ``sweep`` (SweepSettings): t_scaled, N_list, replicas, burn_in_steps, steps,
@@ -165,7 +165,9 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 def replica_seed(master_seed: int, replica: int, stream: str) -> int:
     """Splittable seeding: adding replicas or streams never perturbs existing ones."""
-    tags = {"dynamics": 0, "burn_in": 1, "init": 2, "nelson": 3, "analysis": 4}
+    # Tag 1 belonged to a stream that nothing drew from; the others keep
+    # their numbers, so every seed keeps its bits.
+    tags = {"dynamics": 0, "init": 2, "nelson": 3, "analysis": 4}
     ss = np.random.SeedSequence([int(master_seed), int(replica), tags[stream]])
     return int(ss.generate_state(1)[0])
 

@@ -11,7 +11,7 @@ Each one is written the obvious way, one configuration at a time:
 import numpy as np
 
 from matrixqm.core import UNORDERED
-from matrixqm.dynamics import MICROCANONICAL, NOISE_ALL
+from matrixqm.dynamics import MICROCANONICAL
 
 
 def loop_force(X, params):
@@ -38,15 +38,12 @@ def reference_noise(rng, params, integ):
     d, N, mu, T = params.d, params.N, params.mu, integ.temperature
     iu = np.triu_indices(N, 1)
     off = rng.normal(0.0, np.sqrt(T / (4.0 * mu)), size=(d, len(iu[0])))
-    diag = None
-    if integ.noise_mode == NOISE_ALL:
-        diag = rng.normal(0.0, np.sqrt(T / (2.0 * mu)), size=(d, N))
+    diag = rng.normal(0.0, np.sqrt(T / (2.0 * mu)), size=(d, N))
     noise = np.zeros((d, N, N))
     for a in range(d):
         noise[a][iu] = off[a]
         noise[a].T[iu] = off[a]
-        if diag is not None:
-            noise[a][np.diag_indices(N)] = diag[a]
+        noise[a][np.diag_indices(N)] = diag[a]
     if integ.project_trace_noise:
         tr = np.trace(noise, axis1=-2, axis2=-1) / N
         noise -= tr[:, None, None] * np.eye(N)
@@ -63,18 +60,13 @@ def _leapfrog(X, V, f, params, dt):
 
 
 def _baoab(X, V, f, params, integ, rng):
-    dt, N = integ.dt, params.N
+    dt = integ.dt
     inv2mu = 1.0 / (2.0 * params.mu)
     c1 = np.exp(-integ.gamma * dt)
     c2 = np.sqrt(1.0 - c1 * c1)
     V = V + (0.5 * dt * inv2mu) * f
     X = X + (0.5 * dt) * V
-    noise = reference_noise(rng, params, integ)
-    if integ.noise_mode == NOISE_ALL:
-        V = c1 * V + c2 * noise
-    else:
-        mask = 1.0 - np.eye(N)
-        V = V * (1.0 - (1.0 - c1) * mask) + c2 * noise * mask
+    V = c1 * V + c2 * reference_noise(rng, params, integ)
     X = X + (0.5 * dt) * V
     f = loop_force(X, params)
     V = V + (0.5 * dt * inv2mu) * f

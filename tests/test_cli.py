@@ -174,9 +174,10 @@ class TestSimulate:
 BAD_CONFIGS = [
     ("simulate", "model", "pair_sum", "bogus"),
     ("simulate", "integrator", "record_every", 0),
-    ("simulate", "integrator", "noise_mode", "x"),
     ("sweep", "sweep", "N_list", [1]),
+    ("sweep", "sweep", "N_list", [4, 4]),
     ("sweep", "sweep", "replicas", 0),
+    ("simulate", "integrator", "noise_mode", "offdiagonal"),
     ("simulate", "analysis", "grid_lo", -4.0),
     ("simulate", "analysis", "grid_hi", 4.0),
     ("simulate", "analysis", "grid_points", 64),

@@ -132,20 +132,6 @@ class TestLangevin:
         assert abs(t_est - 0.3) < 3 * se
         assert se < 0.05
 
-    def test_offdiagonal_noise_mode_freezes_traces(self):
-        # With noise and drag on off-diagonal entries only, the trace modes
-        # follow pure Newtonian motion; with zero initial trace velocity the
-        # per-direction traces stay put (kappa = 0).
-        p = ModelParams(d=2, N=4, kappa=0.0)
-        cfg = random_config(p, spread=0.4, seed=3)
-        tr0 = np.array([np.trace(cfg.X[a]) for a in range(2)])
-        integ = IntegratorConfig(mode="langevin", dt=0.01, steps=2000,
-                                 gamma=0.5, temperature=0.3,
-                                 record_every=2000, noise_mode="offdiagonal")
-        rec = run([cfg], p, integ, [4])[0]
-        tr1 = np.array([np.trace(rec.final_config.X[a]) for a in range(2)])
-        assert np.max(np.abs(tr1 - tr0)) < 1e-10
-
     def test_projected_noise_conserves_com(self):
         p = ModelParams(d=2, N=6, kappa=0.0)
         cfg = random_config(p, spread=0.4, seed=5)
@@ -245,11 +231,11 @@ class TestEquilibration:
         assert abs(tau - expected) / expected < 0.2
 
 
-# (d, N, mode, noise_mode, project_trace_noise, kappa, record_frames, seed)
+# (d, N, mode, project_trace_noise, kappa, record_frames, seed)
 BATCH_CASES = st.tuples(
     st.sampled_from([1, 2, 3]), st.integers(2, 10),
-    st.sampled_from(["microcanonical", "langevin"]), st.sampled_from(["all", "offdiagonal"]),
-    st.booleans(), st.sampled_from([0.0, 0.3]), st.booleans(), st.integers(0, 2**32 - 1))
+    st.sampled_from(["microcanonical", "langevin"]), st.booleans(),
+    st.sampled_from([0.0, 0.3]), st.booleans(), st.integers(0, 2**32 - 1))
 
 
 def assert_records_equal(a, b):
@@ -270,10 +256,10 @@ class TestReplicaBatching:
     @settings(max_examples=60, deadline=None)
     @given(BATCH_CASES)
     def test_each_replica_as_if_alone(self, case):
-        d, N, mode, noise_mode, project, kappa, frames, seed = case
+        d, N, mode, project, kappa, frames, seed = case
         p = ModelParams(d=d, N=N, kappa=kappa)
         integ = IntegratorConfig(mode=mode, dt=0.01, steps=12, gamma=0.5, temperature=0.3,
-                                 record_every=3, record_frames=frames, noise_mode=noise_mode,
+                                 record_every=3, record_frames=frames,
                                  project_trace_noise=project)
         cfgs = [random_config(p, spread=0.4, seed=seed + r) for r in range(3)]
         # Microcanonical runs start with nonzero velocities, so they move.
@@ -286,13 +272,16 @@ class TestReplicaBatching:
             assert_records_equal(together[r], run([cfgs[r]], p, integ, [seeds[r]])[0])
 
     @pytest.mark.parametrize("N", [17, 20, 24, 32])
-    @pytest.mark.parametrize("mode", ["microcanonical", "langevin"])
-    def test_each_replica_as_if_alone_at_large_n(self, N, mode):
+    @pytest.mark.parametrize("mode, project", [
+        ("microcanonical", False), ("langevin", True), ("langevin", False)],
+        ids=["microcanonical", "langevin", "langevin-unprojected"])
+    def test_each_replica_as_if_alone_at_large_n(self, N, mode, project):
         # Sizes where the force's bits depend on the BLAS (see
         # TestStackedForce); a replica's record must not depend on R.
         p = ModelParams(d=2, N=N)
         integ = IntegratorConfig(mode=mode, dt=0.01, steps=6, gamma=0.5, temperature=0.3,
-                                 record_every=3, record_frames=True, project_trace_noise=True)
+                                 record_every=3, record_frames=True,
+                                 project_trace_noise=project)
         cfgs = moving_configs(p, 3, N)
         seeds = [N, N + 1, N]
         together = run(cfgs, p, integ, seeds)
@@ -306,12 +295,11 @@ class TestReplicaBatching:
             run([random_config(p, 0.3, 0)] * 2, p, integ, [0])
 
 
-# (R, d, N, mode, noise_mode, project_trace_noise, kappa, temperature, seed)
+# (R, d, N, mode, project_trace_noise, kappa, temperature, seed)
 REFERENCE_CASES = st.tuples(
     st.integers(1, 3), st.integers(1, 4), st.integers(2, 12),
-    st.sampled_from(["microcanonical", "langevin"]), st.sampled_from(["all", "offdiagonal"]),
-    st.booleans(), st.sampled_from([0.0, 0.3]), st.sampled_from([0.0, 0.3]),
-    st.integers(0, 2**32 - 1))
+    st.sampled_from(["microcanonical", "langevin"]), st.booleans(),
+    st.sampled_from([0.0, 0.3]), st.sampled_from([0.0, 0.3]), st.integers(0, 2**32 - 1))
 
 
 def bits(a):
@@ -330,11 +318,11 @@ class TestReferenceKernels:
     @given(REFERENCE_CASES)
     def test_noise_bitwise_equal_to_two_normal_calls(self, case):
         # At T = 0 every reference draw is 0.0 + 0.0 * z = +0.0, never -0.0.
-        R, d, N, _, noise_mode, project, _, T, seed = case
+        R, d, N, _, project, _, T, seed = case
         p = ModelParams(d=d, N=N)
         integ = IntegratorConfig(mode="langevin", dt=0.01, steps=3, gamma=0.5, temperature=T,
-                                 noise_mode=noise_mode, project_trace_noise=project)
-        o = dynamics._OStep(p, integ)
+                                 project_trace_noise=project)
+        o = dynamics._ostep(p, integ.dt, integ.gamma, T, project)
         rngs = [np.random.default_rng(seed + r) for r in range(R)]
         refs = [np.random.default_rng(seed + r) for r in range(R)]
         for _ in range(integ.steps):
@@ -345,11 +333,10 @@ class TestReferenceKernels:
     @settings(max_examples=60, deadline=None)
     @given(REFERENCE_CASES)
     def test_run_bitwise_equal_to_reference_loop(self, case):
-        R, d, N, mode, noise_mode, project, kappa, T, seed = case
+        R, d, N, mode, project, kappa, T, seed = case
         p = ModelParams(d=d, N=N, kappa=kappa)
         integ = IntegratorConfig(mode=mode, dt=0.01, steps=12, gamma=0.5, temperature=T,
-                                 record_every=3, noise_mode=noise_mode,
-                                 project_trace_noise=project)
+                                 record_every=3, project_trace_noise=project)
         cfgs = moving_configs(p, R, seed)
         seeds = [seed + 7 * r for r in range(R)]
         records = run(cfgs, p, integ, seeds)
