@@ -5,8 +5,7 @@ write order.  `main` alone writes them and maps failures to exit codes, so no
 command writes a file before it has computed all of its outputs.
 
 Exit codes: 0 success, 1 usage, config or input-file error, 2 numeric abort
-(NaN/Inf), 3 I/O failure.  The output directory can be overridden with the
-MATRIXQM_OUT environment variable.
+(NaN/Inf), 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .core import random_config
-from .dynamics import LANGEVIN, NumericsError, frame_position_tol, run
+from .dynamics import NumericsError, frame_position_tol, run
 from .estimators import (
     EigenTrajectory,
     FieldEstimate,
@@ -51,7 +50,6 @@ from .runio import (
     atomic_write_text,
     build_manifest,
     conventions,
-    fill_section,
     jacobi_stopping,
     load_record_csv,
     load_wavefunction_csv,
@@ -72,26 +70,13 @@ class InputError(Exception):
     """An input file of `compare` that does not parse; the message starts with its path."""
 
 
-def _out_dir(cfg, args) -> str:
-    if os.environ.get("MATRIXQM_OUT"):
-        return os.environ["MATRIXQM_OUT"]
-    if args.out:
-        return args.out
-    return cfg.output.directory
-
-
 def _load_config(args):
     try:
         with open(args.config) as fh:
             text = fh.read()
     except OSError as e:
         raise OSError(f"cannot read config: {e}") from e
-    cfg = parse_config(text)
-    overrides = {"master_seed": args.seed, "replicas": getattr(args, "replicas", None)}
-    cfg.ensemble = fill_section(
-        cfg.ensemble, {k: v for k, v in overrides.items() if v is not None}, "ensemble"
-    )
-    return cfg
+    return parse_config(text)
 
 
 def cmd_simulate(cfg, args) -> dict:
@@ -122,7 +107,7 @@ def cmd_sweep(cfg, args) -> dict:
              for point, replica_seeds, _ in results for r, seed in enumerate(replica_seeds)]
     stopping = jacobi_stopping({str(point.N): tol for point, _, tol in results})
     return {
-        "sweep.csv": sweep_to_csv(points, cfg.model.pair_sum, cfg.oracle.nu_convention),
+        "sweep.csv": sweep_to_csv(points, cfg.model.pair_sum),
         "sweep_manifest.json": build_manifest(cfg, seeds, time.monotonic() - t0, stopping),
     }
 
@@ -171,10 +156,6 @@ def cmd_oracle(cfg, args) -> dict:
     ab = {}
     for name, nu in (("nelson_hbar_over_2m", o.hbar / (2 * o.mass)),
                      ("direct_hbar_over_m", o.hbar / o.mass)):
-        if o.nu_convention == "nelson" and name.startswith("direct"):
-            continue
-        if o.nu_convention == "direct" and name.startswith("nelson"):
-            continue
         ens = NelsonEnsemble(walkers=walkers0.copy())
         ens = nelson_evolve(ens, snaps, nu, o.dt * per / 4, 4 * n_snap,
                             seed=replica_seed(cfg.ensemble.master_seed, 1, "nelson"))
@@ -237,7 +218,7 @@ def cmd_compare(cfg, args) -> dict:
     h = x[1] - x[0]
     rho_oracle = np.abs(psi) ** 2
     rho_oracle = rho_oracle / (rho_oracle.sum() * h)
-    bw = cfg.analysis.bandwidth or silverman_bandwidth(samples)
+    bw = silverman_bandwidth(samples)
     rho_m = _parse_input(args.trajectory, lambda s: walker_density(s, x, bw), samples)
     verdict = {
         "L1": compare_densities(rho_m, rho_oracle, "L1", h),
@@ -247,9 +228,9 @@ def cmd_compare(cfg, args) -> dict:
         "n_samples": int(len(samples)),
         "diagnostics": diag,
     }
-    # t and nu_pred of a thermostat at T > 0; a microcanonical run ignores temperature.
+    # t and nu_pred of a thermostat at T > 0; a microcanonical run has T = 0.
     params = cfg.model
-    if params.d >= 2 and cfg.integrator.mode == LANGEVIN and cfg.integrator.temperature > 0:
+    if params.d >= 2 and cfg.integrator.temperature > 0:
         t_sc = scaled_temperature(params, cfg.integrator.temperature, params.N)
         verdict["t_scaled"] = t_sc
         verdict["nu_pred"] = predicted_diffusion(params, t_sc)
@@ -326,14 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", required=True, help="JSON config (or manifest) path")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="ensemble.master_seed override")
+        p.add_argument("--out", default="out", help="output directory (default: out)")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted and ignored (runs are sequential); kept for the benchmark")
 
     p = sub.add_parser("simulate", help="run dynamics, write records + manifest")
     common(p)
-    p.add_argument("--replicas", type=int, default=None, help="ensemble.replicas override")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("sweep", help="fixed-t scaling sweep over N")
@@ -365,10 +344,9 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         artifacts = args.fn(cfg, args)
-        out = _out_dir(cfg, args)
         for name, doc in artifacts.items():
             text = doc if isinstance(doc, str) else json.dumps(doc, indent=2, sort_keys=True)
-            atomic_write_text(os.path.join(out, name), text)
+            atomic_write_text(os.path.join(args.out, name), text)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_USAGE

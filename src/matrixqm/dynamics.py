@@ -79,6 +79,11 @@ class IntegratorConfig:
                 raise ValueError("gamma: langevin mode requires gamma > 0")
             if self.temperature < 0:
                 raise ValueError("temperature: must be >= 0")
+        else:
+            for name in ("gamma", "temperature", "project_trace_noise"):
+                if getattr(self, name):
+                    raise ValueError(f"{name}: a microcanonical run has no thermostat, "
+                                     f"got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -233,10 +238,10 @@ def frame_position_tol(params: ModelParams, integ: IntegratorConfig) -> float:
     FRAME_DISPLACEMENT_FRACTION of sqrt(T dt_rec / (mu gamma)), the free
     thermal displacement of a diagonal entry (mass 2 mu, diffusion constant
     T / (2 mu gamma)) over one record interval dt_rec = dt * record_every.
-    0 (off) for microcanonical runs and at T = 0, whose frames keep the
+    0 (off) at T = 0, as in every microcanonical run, whose frames keep the
     angle floor alone.
     """
-    if integ.mode != LANGEVIN or integ.temperature == 0:
+    if integ.temperature == 0:
         return 0.0
     dt_rec = integ.dt * integ.record_every
     return FRAME_DISPLACEMENT_FRACTION * float(

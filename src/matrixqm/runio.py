@@ -12,12 +12,10 @@ Each section is filled straight into the type that uses it, and that type's
 - ``integrator`` (IntegratorConfig): mode, dt, steps, gamma, temperature,
   record_every, record_frames, project_trace_noise
 - ``ensemble``: replicas, master_seed, spread
-- ``analysis``: bandwidth
 - ``sweep`` (SweepSettings): t_scaled, N_list, replicas, burn_in_steps, steps,
   dt, gamma, record_every, spread
 - ``oracle``: grid_points, extent, dt, hbar, mass, sigma0, omega0, p0,
-  walkers, nu_convention
-- ``output``: directory
+  walkers
 """
 
 from __future__ import annotations
@@ -62,15 +60,6 @@ class EnsembleSection:
 
 
 @dataclass
-class AnalysisSection:
-    bandwidth: float = 0.0  # 0 = Silverman rule
-
-    def __post_init__(self):
-        if self.bandwidth < 0:
-            raise ValueError("bandwidth: must be >= 0")
-
-
-@dataclass
 class OracleSection:
     grid_points: int = 512
     extent: float = 24.0  # total box length
@@ -81,7 +70,6 @@ class OracleSection:
     omega0: float = 1.0
     p0: float = 0.0
     walkers: int = 10000
-    nu_convention: str = "both"  # "nelson" (hbar/2m), "direct" (hbar/m), "both"
 
     def __post_init__(self):
         for name in ("extent", "dt", "hbar", "mass", "sigma0", "omega0"):
@@ -91,13 +79,6 @@ class OracleSection:
             raise ValueError("grid_points: must be >= 2")
         if self.walkers < 1:
             raise ValueError("walkers: must be >= 1")
-        if self.nu_convention not in ("nelson", "direct", "both"):
-            raise ValueError("nu_convention: must be nelson, direct or both")
-
-
-@dataclass
-class OutputSection:
-    directory: str = "out"
 
 
 @dataclass
@@ -105,10 +86,8 @@ class ExperimentConfig:
     model: ModelParams = field(default_factory=lambda: ModelParams(d=2, N=4))
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
     ensemble: EnsembleSection = field(default_factory=EnsembleSection)
-    analysis: AnalysisSection = field(default_factory=AnalysisSection)
     sweep: SweepSettings = field(default_factory=SweepSettings)
     oracle: OracleSection = field(default_factory=OracleSection)
-    output: OutputSection = field(default_factory=OutputSection)
 
 
 def _is_a(val, want: type) -> bool:
@@ -172,12 +151,15 @@ def replica_seed(master_seed: int, replica: int, stream: str) -> int:
     return int(ss.generate_state(1)[0])
 
 
+NU_CONVENTION = "both"  # the oracle reports nu = hbar/(2m) and nu = hbar/m
+
+
 def conventions(cfg: ExperimentConfig) -> dict:
     return {
         "potential_sign": "commuting_configurations_are_minima",
         "pair_sum": cfg.model.pair_sum,
         "continuity_sign": "drho_dt + div(rho v) = 0",
-        "nu_convention": cfg.oracle.nu_convention,
+        "nu_convention": NU_CONVENTION,
         "kinetic_mass_weighting": "diag 2*mu, offdiag 4*mu (K = mu Tr V^2)",
     }
 
@@ -281,13 +263,13 @@ def load_record_csv(text: str) -> dict:
     return {name: data[:, j] for j, name in enumerate(header)}
 
 
-def sweep_to_csv(points, pair_sum: str, nu_convention: str) -> str:
+def sweep_to_csv(points, pair_sum: str) -> str:
     """One column per ScalingPoint field, in field order, then pair_sum and
     nu_convention.  %.17g prints the integer fields exactly as str does."""
     names = [f.name for f in fields(ScalingPoint)]
     lines = [",".join(names + ["pair_sum", "nu_convention"])]
     for p in points:
-        lines.append(",".join([_fmt(getattr(p, n)) for n in names] + [pair_sum, nu_convention]))
+        lines.append(",".join([_fmt(getattr(p, n)) for n in names] + [pair_sum, NU_CONVENTION]))
     return "\n".join(lines) + "\n"
 
 

@@ -365,7 +365,6 @@ def test_criterion_10_manifest_reproducibility(tmp_path):
         json.dump(doc, fh)
     out1 = os.path.join(tmp_path, "o1")
     out2 = os.path.join(tmp_path, "o2")
-    os.environ.pop("MATRIXQM_OUT", None)
     assert cli_main(["simulate", "--config", cfg, "--out", out1]) == EXIT_OK
     assert cli_main(["simulate", "--config",
                      os.path.join(out1, "manifest.json"),

@@ -1,4 +1,4 @@
-"""End-to-end command-line tests: artifacts, exit codes, overrides,
+"""End-to-end command-line tests: artifacts, exit codes, config errors,
 and byte-identical re-execution from manifests."""
 
 import importlib
@@ -23,14 +23,9 @@ BASE_CONFIG = {
 }
 
 
-@pytest.fixture(autouse=True)
-def _no_env_override(monkeypatch):
-    monkeypatch.delenv("MATRIXQM_OUT", raising=False)
-
-
 def fresh_env():
     """Environment for a child interpreter that imports matrixqm from src."""
-    env = {k: v for k, v in os.environ.items() if k != "MATRIXQM_OUT"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     return env
@@ -67,40 +62,47 @@ class TestSimulate:
             b = open(os.path.join(out2, name), "rb").read()
             assert a == b
 
-    def test_seed_override_changes_output(self, tmp_path):
-        cfg = write_config(tmp_path, BASE_CONFIG)
+    def test_seed_changes_output(self, tmp_path):
         out1 = os.path.join(tmp_path, "s1")
         out2 = os.path.join(tmp_path, "s2")
-        main(["simulate", "--config", cfg, "--out", out1])
-        main(["simulate", "--config", cfg, "--out", out2, "--seed", "78"])
+        cfg1 = write_config(tmp_path, BASE_CONFIG, "s1.json")
+        cfg2 = write_config(tmp_path, {**BASE_CONFIG, "ensemble": {
+            **BASE_CONFIG["ensemble"], "master_seed": 78}}, "s2.json")
+        assert main(["simulate", "--config", cfg1, "--out", out1]) == EXIT_OK
+        assert main(["simulate", "--config", cfg2, "--out", out2]) == EXIT_OK
         a = open(os.path.join(out1, "record_000.csv")).read()
         b = open(os.path.join(out2, "record_000.csv")).read()
         assert a != b
 
-    def test_replicas_override(self, tmp_path):
-        cfg = write_config(tmp_path, BASE_CONFIG)
-        out = os.path.join(tmp_path, "r")
-        main(["simulate", "--config", cfg, "--out", out, "--replicas", "3"])
-        records = [n for n in os.listdir(out) if n.startswith("record_")]
-        assert len(records) == 3
-
     def test_replica_records_independent_of_ensemble_size(self, tmp_path):
-        cfg = write_config(tmp_path, BASE_CONFIG)
-        out2 = os.path.join(tmp_path, "r2")
-        out3 = os.path.join(tmp_path, "r3")
-        assert main(["simulate", "--config", cfg, "--out", out2, "--replicas", "2"]) == EXIT_OK
-        assert main(["simulate", "--config", cfg, "--out", out3, "--replicas", "3"]) == EXIT_OK
+        outs = {}
+        for replicas in (2, 3):
+            cfg = write_config(tmp_path, {**BASE_CONFIG, "ensemble": {
+                **BASE_CONFIG["ensemble"], "replicas": replicas}}, f"r{replicas}.json")
+            outs[replicas] = os.path.join(tmp_path, f"r{replicas}")
+            assert main(["simulate", "--config", cfg, "--out", outs[replicas]]) == EXIT_OK
+        assert len([n for n in os.listdir(outs[3]) if n.startswith("record_")]) == 3
         for name in ("record_000.csv", "record_001.csv"):
-            a = open(os.path.join(out2, name), "rb").read()
-            b = open(os.path.join(out3, name), "rb").read()
+            a = open(os.path.join(outs[2], name), "rb").read()
+            b = open(os.path.join(outs[3], name), "rb").read()
             assert a == b
 
-    def test_env_var_out_dir(self, tmp_path, monkeypatch):
+    def test_default_out_dir(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, BASE_CONFIG)
-        envdir = os.path.join(tmp_path, "envout")
-        monkeypatch.setenv("MATRIXQM_OUT", envdir)
+        monkeypatch.chdir(tmp_path)
         assert main(["simulate", "--config", cfg]) == EXIT_OK
-        assert os.path.exists(os.path.join(envdir, "manifest.json"))
+        assert sorted(os.listdir(os.path.join(tmp_path, "out"))) == [
+            "manifest.json", "record_000.csv", "record_001.csv"]
+
+    @pytest.mark.parametrize("key,value", [
+        ("gamma", 3.0), ("temperature", 5.0), ("project_trace_noise", True)])
+    def test_microcanonical_rejects_thermostat_key(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, {**BASE_CONFIG, "integrator": {
+            "mode": "microcanonical", "steps": 10, key: value}})
+        out = os.path.join(tmp_path, "out")
+        assert main(["simulate", "--config", cfg, "--out", out]) == EXIT_USAGE
+        assert f"config error: integrator.{key}: " in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_missing_config_io_exit(self, tmp_path):
         assert main(["simulate", "--config",
@@ -178,12 +180,7 @@ BAD_CONFIGS = [
     ("sweep", "sweep", "N_list", [4, 4]),
     ("sweep", "sweep", "replicas", 0),
     ("simulate", "integrator", "noise_mode", "offdiagonal"),
-    ("simulate", "analysis", "grid_lo", -4.0),
-    ("simulate", "analysis", "grid_hi", 4.0),
-    ("simulate", "analysis", "grid_points", 64),
-    ("simulate", "analysis", "fit_window", [0.0, 0.0]),
-    ("simulate", "analysis", "method", "msd_slope"),
-    ("simulate", "output", "formats", ["csv", "json"]),
+    ("oracle", "oracle", "nu_convention", "nelson"),
     ("oracle", "oracle", "steps", 2000),
     ("oracle", "oracle", "potential", "free"),
     ("oracle", "oracle", "dt", 0.0),
@@ -210,6 +207,31 @@ def test_bad_config_names_field(tmp_path, capsys, command, section, key, value):
     assert not os.path.exists(out)
 
 
+# (command, section, key, value): keys of the analysis and output sections,
+# which are gone with their sections.
+REMOVED_SECTIONS = [
+    ("simulate", "analysis", "grid_lo", -4.0),
+    ("simulate", "analysis", "grid_hi", 4.0),
+    ("simulate", "analysis", "grid_points", 64),
+    ("simulate", "analysis", "fit_window", [0.0, 0.0]),
+    ("simulate", "analysis", "method", "msd_slope"),
+    ("simulate", "analysis", "bandwidth", 0.0),
+    ("simulate", "output", "formats", ["csv", "json"]),
+    ("simulate", "output", "directory", "out"),
+]
+
+
+@pytest.mark.parametrize("command,section,key,value", REMOVED_SECTIONS)
+def test_removed_section_rejected(tmp_path, capsys, command, section, key, value):
+    cfg = write_config(tmp_path, {**BASE_CONFIG, section: {key: value}})
+    out = os.path.join(tmp_path, "out")
+    assert main([command, "--config", cfg, "--out", out]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"config error: {section}: unknown section" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("text,field", [
     ('{"integrator": {"dt": NaN}}', "integrator.dt"),
     ('{"model": {"kappa": Infinity}}', "model.kappa"),
@@ -229,9 +251,9 @@ def test_non_finite_number_rejected(tmp_path, capsys, text, field):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["simulate", "--replicas", "0"], "config error: ensemble.replicas:"),
-    (["simulate", "--replicas", "-1"], "config error: ensemble.replicas:"),
-    (["simulate", "--seed", "-1"], "config error: ensemble.master_seed:"),
+    (["simulate", "--replicas", "0"], "unrecognized arguments: --replicas"),
+    (["simulate", "--replicas", "-1"], "unrecognized arguments: --replicas"),
+    (["simulate", "--seed", "-1"], "unrecognized arguments: --seed"),
     (["sweep", "--replicas", "3"], "unrecognized arguments: --replicas"),
 ])
 def test_bad_override_usage_exit(tmp_path, capsys, argv, message):
@@ -415,8 +437,10 @@ def test_reports_state_kde_bandwidth_and_cell(tmp_path):
 class TestCompare:
     @pytest.mark.parametrize("mode", ["langevin", "microcanonical"])
     def test_report_only_verdict(self, tmp_path, mode):
-        cfg = write_config(tmp_path, {**BASE_CONFIG, "integrator": {
-            **BASE_CONFIG["integrator"], "mode": mode}})
+        integ = {**BASE_CONFIG["integrator"], "mode": mode}
+        if mode == "microcanonical":  # gamma = T = 0, the values that run always had
+            del integ["gamma"], integ["temperature"]
+        cfg = write_config(tmp_path, {**BASE_CONFIG, "integrator": integ})
         out = os.path.join(tmp_path, "cmp")
         main(["simulate", "--config", cfg, "--out", out])
         orc_doc = {"oracle": {"grid_points": 128, "extent": 16.0, "dt": 0.002,
@@ -434,7 +458,7 @@ class TestCompare:
         if mode == "langevin":
             assert verdict["t_scaled"] == pytest.approx(4 * 0.3 / (8 * 1 * 1), rel=1e-12)
             assert verdict["nu_pred"] > 0
-        else:  # the run ignored its temperature, so the verdict states none
+        else:  # a microcanonical run has no temperature, so the verdict states none
             assert "t_scaled" not in verdict and "nu_pred" not in verdict
 
     def test_missing_trajectory_io_exit(self, tmp_path):

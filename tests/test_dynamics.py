@@ -31,6 +31,14 @@ from matrixqm.dynamics import (
 from kernel_oracles import reference_noise, reference_run
 
 
+def integrator(mode, project=False, temperature=0.3, **kw):
+    """An IntegratorConfig; a Langevin one gets gamma = 0.5, the temperature
+    and the projection, a microcanonical one keeps gamma = T = 0 and none."""
+    if mode == "langevin":
+        kw.update(gamma=0.5, temperature=temperature, project_trace_noise=project)
+    return IntegratorConfig(mode=mode, **kw)
+
+
 def scalar_oscillator_params(kappa=0.5):
     # d=1, N=2 with a quadratic regulator: every entry decouples and the
     # diagonal entry is a harmonic oscillator at frequency omega*sqrt(kappa).
@@ -258,9 +266,8 @@ class TestReplicaBatching:
     def test_each_replica_as_if_alone(self, case):
         d, N, mode, project, kappa, frames, seed = case
         p = ModelParams(d=d, N=N, kappa=kappa)
-        integ = IntegratorConfig(mode=mode, dt=0.01, steps=12, gamma=0.5, temperature=0.3,
-                                 record_every=3, record_frames=frames,
-                                 project_trace_noise=project)
+        integ = integrator(mode, project, dt=0.01, steps=12, record_every=3,
+                           record_frames=frames)
         cfgs = [random_config(p, spread=0.4, seed=seed + r) for r in range(3)]
         # Microcanonical runs start with nonzero velocities, so they move.
         cfgs = [MatrixConfiguration(X=c.X, V=0.5 * c.X[::-1], time=0.25 * r)
@@ -279,9 +286,8 @@ class TestReplicaBatching:
         # Sizes where the force's bits depend on the BLAS (see
         # TestStackedForce); a replica's record must not depend on R.
         p = ModelParams(d=2, N=N)
-        integ = IntegratorConfig(mode=mode, dt=0.01, steps=6, gamma=0.5, temperature=0.3,
-                                 record_every=3, record_frames=True,
-                                 project_trace_noise=project)
+        integ = integrator(mode, project, dt=0.01, steps=6, record_every=3,
+                           record_frames=True)
         cfgs = moving_configs(p, 3, N)
         seeds = [N, N + 1, N]
         together = run(cfgs, p, integ, seeds)
@@ -335,8 +341,7 @@ class TestReferenceKernels:
     def test_run_bitwise_equal_to_reference_loop(self, case):
         R, d, N, mode, project, kappa, T, seed = case
         p = ModelParams(d=d, N=N, kappa=kappa)
-        integ = IntegratorConfig(mode=mode, dt=0.01, steps=12, gamma=0.5, temperature=T,
-                                 record_every=3, project_trace_noise=project)
+        integ = integrator(mode, project, T, dt=0.01, steps=12, record_every=3)
         cfgs = moving_configs(p, R, seed)
         seeds = [seed + 7 * r for r in range(R)]
         records = run(cfgs, p, integ, seeds)
@@ -376,8 +381,7 @@ class TestWarmStart:
         # configurations run() diagonalized and compare every frame array.
         seen = spy_joint_diagonalize(monkeypatch)
         p = ModelParams(d=2, N=5)
-        integ = IntegratorConfig(mode=mode, dt=0.01, steps=12, gamma=0.5, temperature=0.3,
-                                 record_every=2, record_frames=True)
+        integ = integrator(mode, dt=0.01, steps=12, record_every=2, record_frames=True)
         records = run(moving_configs(p, 2, 11), p, integ, [4, 5])
         n = len(records[0].times)
         assert len(seen) == 2 * n
@@ -459,8 +463,7 @@ class TestAliasing:
         # it records, and every final_config, must be a copy.
         seen = spy_joint_diagonalize(monkeypatch)
         p = ModelParams(d=2, N=4)
-        integ = IntegratorConfig(mode=mode, dt=0.01, steps=6, gamma=0.5, temperature=0.3,
-                                 record_every=1, record_frames=True)
+        integ = integrator(mode, dt=0.01, steps=6, record_every=1, record_frames=True)
         cfgs = moving_configs(p, 2, 5)
         inputs = [(c.X.copy(), c.V.copy()) for c in cfgs]
         records = run(cfgs, p, integ, [1, 2])

@@ -423,8 +423,7 @@ def test_timestep_warning_fires():
             evolve_schrodinger(wf, 0.5 * MASS * x**2, 0.05, 1)
 
 
-def test_oracle_default_config_does_not_warn(tmp_path, monkeypatch):
-    monkeypatch.delenv("MATRIXQM_OUT", raising=False)
+def test_oracle_default_config_does_not_warn(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{}")
     with warnings.catch_warnings():

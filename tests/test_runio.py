@@ -97,12 +97,10 @@ CONFIG_KEYS = {
     "integrator": ["dt", "gamma", "mode", "project_trace_noise", "record_every",
                    "record_frames", "steps", "temperature"],
     "ensemble": ["master_seed", "replicas", "spread"],
-    "analysis": ["bandwidth"],
     "sweep": ["N_list", "burn_in_steps", "dt", "gamma", "record_every", "replicas",
               "spread", "steps", "t_scaled"],
-    "oracle": ["dt", "extent", "grid_points", "hbar", "mass", "nu_convention",
-               "omega0", "p0", "sigma0", "walkers"],
-    "output": ["directory"],
+    "oracle": ["dt", "extent", "grid_points", "hbar", "mass", "omega0", "p0", "sigma0",
+               "walkers"],
 }
 
 _pos = st.floats(min_value=1e-3, max_value=1e3)
@@ -113,18 +111,20 @@ def _section(required=None, **optional):
     return st.fixed_dictionaries(required or {}, optional=optional)
 
 
+_INTEGRATOR = dict(dt=_pos, steps=st.integers(0, 10**6), record_every=st.integers(1, 100),
+                   record_frames=st.booleans())
+
 VALID_DOCS = _section(
     model=_section(d=st.integers(1, 4), N=st.integers(2, 12), mu=_pos, omega=_pos,
                    kappa=_nonneg,
                    pair_sum=st.sampled_from(["ordered_pairs", "unordered_pairs"])),
-    integrator=_section(
-        {"gamma": _pos},
-        mode=st.sampled_from(["microcanonical", "langevin"]), dt=_pos,
-        steps=st.integers(0, 10**6), temperature=_nonneg, record_every=st.integers(1, 100),
-        record_frames=st.booleans(), project_trace_noise=st.booleans()),
+    # A microcanonical integrator takes no thermostat keys.
+    integrator=st.one_of(
+        _section(mode=st.just("microcanonical"), **_INTEGRATOR),
+        _section({"mode": st.just("langevin"), "gamma": _pos}, temperature=_nonneg,
+                 project_trace_noise=st.booleans(), **_INTEGRATOR)),
     ensemble=_section(replicas=st.integers(1, 64), master_seed=st.integers(0, 2**32),
                       spread=_nonneg),
-    analysis=_section(bandwidth=_nonneg),
     sweep=_section(
         {"record_every": st.integers(1, 20), "steps": st.integers(200, 10**5)},
         t_scaled=_nonneg, N_list=st.lists(st.integers(2, 64), min_size=1, max_size=4,
@@ -134,9 +134,7 @@ VALID_DOCS = _section(
     oracle=_section(grid_points=st.integers(16, 4096), extent=_pos, dt=_pos, hbar=_pos,
                     mass=_pos, sigma0=_pos, omega0=_pos,
                     p0=st.floats(min_value=-10.0, max_value=10.0),
-                    walkers=st.integers(2, 10**5),
-                    nu_convention=st.sampled_from(["nelson", "direct", "both"])),
-    output=_section(directory=st.text(max_size=12)),
+                    walkers=st.integers(2, 10**5)),
 )
 
 
@@ -210,7 +208,7 @@ class TestCsv:
         assert cols["U"][3] == rec.energies[3, 1]
 
     def test_sweep_csv_header(self):
-        text = sweep_to_csv([], "unordered_pairs", "both")
+        text = sweep_to_csv([], "unordered_pairs")
         assert text.splitlines()[0] == (
             "N,T,t_scaled,nu_hat,nu_stderr,nu_pred,hbar_emergent,irrot_residual,"
             "mean_frame_residual,nonconverged_frames,ambiguous_steps,mean_frame_sweeps,pair_sum,"
@@ -242,8 +240,8 @@ class TestAtomicWrite:
 
 
 def test_conventions_echo():
-    cfg = parse_config('{"oracle": {"nu_convention": "nelson"}}')
-    conv = conventions(cfg)
-    assert conv["nu_convention"] == "nelson"
-    assert "pair_sum" in conv
+    # The oracle always reports both nu conventions.
+    conv = conventions(parse_config('{"model": {"pair_sum": "ordered_pairs"}}'))
+    assert conv["nu_convention"] == "both"
+    assert conv["pair_sum"] == "ordered_pairs"
     assert "potential_sign" in conv
