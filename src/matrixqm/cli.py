@@ -50,7 +50,6 @@ from .runio import (
     atomic_write_text,
     build_manifest,
     conventions,
-    jacobi_stopping,
     load_record_csv,
     load_wavefunction_csv,
     parse_config,
@@ -91,9 +90,8 @@ def cmd_simulate(cfg, args) -> dict:
     records = run(configs, cfg.model, cfg.integrator, [s["dynamics"] for s in seeds])
     artifacts = {f"record_{r:03d}.csv": record_to_csv(record)
                  for r, record in enumerate(records)}
-    stopping = (jacobi_stopping(frame_position_tol(cfg.model, cfg.integrator))
-                if cfg.integrator.record_frames else {})
-    artifacts["manifest.json"] = build_manifest(cfg, seeds, time.monotonic() - t0, stopping)
+    tol = frame_position_tol(cfg.model, cfg.integrator) if cfg.integrator.record_frames else None
+    artifacts["manifest.json"] = build_manifest(cfg, seeds, time.monotonic() - t0, tol)
     return artifacts
 
 
@@ -105,10 +103,10 @@ def cmd_sweep(cfg, args) -> dict:
     points = [point for point, _, _ in results]
     seeds = [{"N": point.N, "replica": r, **seed}
              for point, replica_seeds, _ in results for r, seed in enumerate(replica_seeds)]
-    stopping = jacobi_stopping({str(point.N): tol for point, _, tol in results})
+    tols = {str(point.N): tol for point, _, tol in results}
     return {
         "sweep.csv": sweep_to_csv(points, cfg.model.pair_sum),
-        "sweep_manifest.json": build_manifest(cfg, seeds, time.monotonic() - t0, stopping),
+        "sweep_manifest.json": build_manifest(cfg, seeds, time.monotonic() - t0, tols),
     }
 
 
@@ -248,7 +246,7 @@ def cmd_calibrate(cfg, args) -> dict:
     steps = rng.normal(0.0, np.sqrt(2 * nu_true * dt), size=(R, T, 1, 1))
     paths = np.cumsum(steps, axis=1)
     times = np.arange(T) * dt
-    est = estimate_diffusion(EigenTrajectory(times=times, positions=paths), (5 * dt, 50 * dt))
+    est = estimate_diffusion(EigenTrajectory(times=times, positions=paths), (5, 50))
     report["brownian"] = {"nu_true": nu_true, "nu_hat": est.nu_hat,
                           "stderr": est.stderr,
                           "rel_error": abs(est.nu_hat - nu_true) / nu_true}
@@ -282,7 +280,7 @@ def cmd_calibrate(cfg, args) -> dict:
     # OU diffusion recovery from a stationary ensemble.  Here the ensemble must
     # *be* stationary (else the contraction flow contaminates the displacement
     # statistics) and the fit window short relative to 1/theta.
-    est = estimate_diffusion(ou_paths(400, 200, np.sqrt(nu / theta)), (1 * dt, 10 * dt))
+    est = estimate_diffusion(ou_paths(400, 200, np.sqrt(nu / theta)), (1, 10))
     report["ou_diffusion"] = {"nu_true": nu, "nu_hat": est.nu_hat,
                               "stderr": est.stderr,
                               "rel_error": abs(est.nu_hat - nu) / nu}

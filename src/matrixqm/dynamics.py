@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -123,51 +124,40 @@ class TrajectoryRecord:
 # would alone.
 
 
-class _OStep:
-    """Constants of the BAOAB O-step: every entry is damped by c1 and
-    refreshed with c2 times noise of its Gibbs variance T/m_e (m_e = 2mu on
-    the diagonal, 4mu per independent off-diagonal entry).
+@lru_cache(maxsize=32)
+def _ostep(params: ModelParams, dt: float, gamma: float, T: float,
+           project_trace_noise: bool = False) -> SimpleNamespace:
+    """Constants of the BAOAB O-step of run and step_langevin, built once per
+    argument set: every entry is damped by c1 and refreshed with c2 times
+    noise of its Gibbs variance T/m_e (m_e = 2mu on the diagonal, 4mu per
+    independent off-diagonal entry).
 
     A configuration's draws are packed as [off-diagonal (d * n_off),
     diagonal (d * N)], direction by direction within each block, and scale
     holds each slot's standard deviation.  unpack[k] is the packed slot of
     flat entry k of the (d, N, N) noise stack: both triangles read the same
     off-diagonal draw.  With project_trace_noise, eye removes each noise
-    matrix's trace.
+    matrix's trace; without, it is None.  ModelParams is frozen, so it keys
+    the cache; the arrays handed to every caller are read-only.
     """
-
-    def __init__(self, params: ModelParams, dt: float, gamma: float, T: float,
-                 project_trace_noise: bool):
-        d, N, mu = params.d, params.N, params.mu
-        self.c1 = np.exp(-gamma * dt)
-        self.c2 = np.sqrt(1.0 - self.c1 * self.c1)
-        iu = np.triu_indices(N, 1)
-        n_off = len(iu[0])
-        self.scale = np.concatenate([np.full(d * n_off, np.sqrt(T / (4.0 * mu))),
-                                     np.full(d * N, np.sqrt(T / (2.0 * mu)))])
-        unpack = np.empty((d, N, N), dtype=np.intp)
-        unpack[:, iu[0], iu[1]] = unpack[:, iu[1], iu[0]] = np.arange(d * n_off).reshape(d, n_off)
-        unpack[:, np.arange(N), np.arange(N)] = d * n_off + np.arange(d * N).reshape(d, N)
-        self.unpack = unpack.ravel()
-        self.eye = np.eye(N) if project_trace_noise else None
-
-
-@lru_cache(maxsize=32)
-def _ostep(params: ModelParams, dt: float, gamma: float, T: float,
-           project_trace_noise: bool = False) -> _OStep:
-    """The O-step constants of run and step_langevin, built once per argument set.
-
-    ModelParams is frozen, so it keys the cache; the arrays handed to every
-    caller are read-only.
-    """
-    o = _OStep(params, dt, gamma, T, project_trace_noise)
-    for a in (o.scale, o.unpack, o.eye):
+    d, N, mu = params.d, params.N, params.mu
+    c1 = np.exp(-gamma * dt)
+    iu = np.triu_indices(N, 1)
+    n_off = len(iu[0])
+    scale = np.concatenate([np.full(d * n_off, np.sqrt(T / (4.0 * mu))),
+                            np.full(d * N, np.sqrt(T / (2.0 * mu)))])
+    unpack = np.empty((d, N, N), dtype=np.intp)
+    unpack[:, iu[0], iu[1]] = unpack[:, iu[1], iu[0]] = np.arange(d * n_off).reshape(d, n_off)
+    unpack[:, np.arange(N), np.arange(N)] = d * n_off + np.arange(d * N).reshape(d, N)
+    unpack = unpack.ravel()
+    eye = np.eye(N) if project_trace_noise else None
+    for a in (scale, unpack, eye):
         if a is not None:
             a.flags.writeable = False
-    return o
+    return SimpleNamespace(c1=c1, c2=np.sqrt(1.0 - c1 * c1), scale=scale, unpack=unpack, eye=eye)
 
 
-def _thermal_noise(o: _OStep, rngs, shape) -> np.ndarray:
+def _thermal_noise(o: SimpleNamespace, rngs, shape) -> np.ndarray:
     """Symmetric noise matrices of the given stack shape, one generator per
     configuration: each draws its off-diagonal entries, then its diagonal
     ones, in one standard_normal call.  sd * z + 0.0 is the value

@@ -298,26 +298,21 @@ def _interior(v_field: FieldEstimate) -> np.ndarray:
 def continuity_residual(rho_series, v_field: FieldEstimate, dt_between: float) -> float:
     """Mass-weighted L1 norm of d(rho)/dt + div(rho v) on interior cells.
 
-    rho_series holds 2 or 3 density snapshots separated by dt_between
-    (3 snapshots give a centered time derivative at the middle one).
+    rho_series holds 3 density snapshots separated by dt_between; the time
+    derivative is centered at the middle one.
     """
     rhos = [np.asarray(r) for r in rho_series]
-    if len(rhos) < 2:
-        raise ValueError("need at least 2 density snapshots")
+    if len(rhos) != 3:
+        raise ValueError(f"need 3 density snapshots, got {len(rhos)}")
     grid = v_field.grid
     for r in rhos:
         if r.shape != grid.shape:
             raise ValueError("grid mismatch between density snapshots and velocity field")
-    if len(rhos) >= 3:
-        drho_dt = (rhos[2] - rhos[0]) / (2.0 * dt_between)
-        rho_mid = rhos[1]
-    else:
-        drho_dt = (rhos[1] - rhos[0]) / dt_between
-        rho_mid = 0.5 * (rhos[0] + rhos[1])
+    drho_dt = (rhos[2] - rhos[0]) / (2.0 * dt_between)
 
     div = np.zeros(grid.shape)
     for a in range(grid.ndim):
-        flux = rho_mid * v_field.v[a]
+        flux = rhos[1] * v_field.v[a]
         div += np.gradient(flux, grid.spacings[a], axis=a)
 
     resid = drho_dt + div
@@ -357,35 +352,36 @@ def irrotationality_residual(v_field: FieldEstimate) -> float:
 N_BOOTSTRAP = 200
 
 
-def estimate_diffusion(trajectories: EigenTrajectory, fit_window: tuple,
+def estimate_diffusion(trajectories: EigenTrajectory, lags: tuple,
                        seed: int = 0) -> DiffusionEstimate:
     """Per-coordinate diffusion constant of an ensemble of paths.
 
-    Fits <(dx)^2> = 2 nu tau over the lags inside fit_window, on the
-    (R, T, N, d) positions of the ensemble, after subtracting the
-    ensemble-mean displacement (drift).  The standard error comes from a
-    bootstrap over the R replicas.
+    Fits <(dx)^2> = 2 nu tau over the record lags k = lag_min..lag_max of
+    lags = (lag_min, lag_max), as far as the T records reach, with
+    tau = k * (times[1] - times[0]).  The fit runs on the (R, T, N, d)
+    positions of the ensemble, after subtracting the ensemble-mean
+    displacement (drift).  The standard error comes from a bootstrap over
+    the R replicas.
     """
     times, pos = trajectories.times, trajectories.positions
     R, T, N, _ = pos.shape
     dt = times[1] - times[0]
-    tau_min, tau_max = fit_window
-    lags = [k for k in range(1, T) if tau_min <= k * dt <= tau_max]
-    if len(lags) < 5:
-        raise ValueError(
-            f"fit window ({tau_min}, {tau_max}) contains {len(lags)} lags (< 5)"
-        )
+    lag_min, lag_max = lags
+    ks = range(max(lag_min, 1), min(lag_max, T - 1) + 1)
+    if len(ks) < 5:
+        raise ValueError(f"record lags ({lag_min}, {lag_max}) of {T} records "
+                         f"give {len(ks)} lags (< 5)")
 
     # per-replica, per-lag mean squared (drift-corrected) displacement
-    msd_r = np.zeros((R, len(lags)))
+    msd_r = np.zeros((R, len(ks)))
     n_paths = R * N
     bias = n_paths / (n_paths - 1) if n_paths > 1 else 1.0
-    for j, k in enumerate(lags):
+    for j, k in enumerate(ks):
         disp = pos[:, k:] - pos[:, :-k]  # (R, T-k, N, d)
         disp = disp - disp.mean(axis=(0, 2), keepdims=True)
         msd_r[:, j] = bias * np.mean(disp**2, axis=(1, 2, 3))
 
-    taus = np.array(lags) * dt
+    taus = np.array(ks) * dt
 
     def fit(msd_mean):
         return float(np.dot(msd_mean, taus) / (2.0 * np.dot(taus, taus)))
@@ -489,7 +485,7 @@ def sweep_point(base_params: ModelParams, settings: SweepSettings, N: int,
     The temperature is set to 8(d-1) mu omega^2 t / N, an ensemble of
     Langevin runs is thermalized and recorded, particle trajectories are
     tracked through joint-diagonalized frames, and the diffusion constant
-    fitted over 5..50 recorded lags is reported next to the scaling-limit
+    fitted over record lags 5..50 is reported next to the scaling-limit
     prediction.  Replica r's initial configuration, burn-in noise and
     measurement-run noise are seeded from SeedSequence([master_seed, N, r]),
     so the point does not depend on the rest of settings.N_list.
@@ -516,15 +512,14 @@ def sweep_point(base_params: ModelParams, settings: SweepSettings, N: int,
     configs = [random_config(params, s.spread, seed["init"]) for seed in seeds]
     burn = dataclasses.replace(measure, steps=s.burn_in_steps,
                                record_every=max(1, s.burn_in_steps), record_frames=False)
+    phase = "burn-in"
     try:
         burnt = run(configs, params, burn, [seed["burn"] for seed in seeds])
-    except NumericsError as e:
-        raise e.within(f"sweep N={N}, burn-in run") from None
-    try:
+        phase = "measurement"
         records = run([rec.final_config for rec in burnt], params, measure,
                       [seed["run"] for seed in seeds])
     except NumericsError as e:
-        raise e.within(f"sweep N={N}, measurement run") from None
+        raise e.within(f"sweep N={N}, {phase} run") from None
     positions, residuals, converged, sweeps = (
         np.stack([getattr(rec, name) for rec in records])
         for name in ("positions", "residuals", "converged", "sweeps"))
@@ -533,8 +528,7 @@ def sweep_point(base_params: ModelParams, settings: SweepSettings, N: int,
     # Remove the per-frame collective (trace-mode) motion.
     traj.positions = traj.positions - traj.positions.mean(axis=2, keepdims=True)
 
-    dt_rec = s.dt * s.record_every
-    est = estimate_diffusion(traj, (5 * dt_rec, 50 * dt_rec), seed=master_seed + N)
+    est = estimate_diffusion(traj, (5, 50), seed=master_seed + N)
 
     # Irrotationality diagnostic at mid-run on a d-dimensional grid.
     # SweepSettings guarantees >= 11 records, so the middle one has

@@ -60,7 +60,6 @@ class MadelungPair:
     x: np.ndarray
     rho: np.ndarray
     S: np.ndarray
-    hbar: float
     mask: np.ndarray  # False where rho is too small to carry a phase
 
 
@@ -77,7 +76,6 @@ class DriftField:
     b: np.ndarray  # total drift v + u
     v: np.ndarray
     u: np.ndarray
-    mask: np.ndarray
 
 
 def gaussian_packet(x, x0, sigma0, p0, hbar, mass) -> WaveFunction:
@@ -138,9 +136,9 @@ def evolve_schrodinger(wf: WaveFunction, V, dt: float, steps: int) -> WaveFuncti
     """Norm-preserving evolution under i hbar dpsi/dt = [-hbar^2/(2m) d^2/dx^2 + V] psi."""
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    V = np.broadcast_to(np.asarray(V, dtype=float), wf.x.shape)
     if np.iscomplexobj(V):
         raise ValueError("V must be real")
+    V = np.broadcast_to(np.asarray(V, dtype=float), wf.x.shape)
     _check_timestep(wf, V, dt)
     psi = _evolve_split_step(wf, V, dt, steps)
     return WaveFunction(wf.x, psi, wf.hbar, wf.mass, wf.time + steps * dt)
@@ -163,7 +161,7 @@ def madelung_decompose(wf: WaveFunction, rho_floor_frac: float = 1e-8) -> Madelu
     S[: i0 + 1] = np.unwrap(phase[: i0 + 1][::-1])[::-1]
     S *= wf.hbar
     S[~mask] = np.nan
-    return MadelungPair(x=wf.x, rho=rho, S=S, hbar=wf.hbar, mask=mask)
+    return MadelungPair(x=wf.x, rho=rho, S=S, mask=mask)
 
 
 def nelson_drift(wf: WaveFunction, nu: float) -> DriftField:
@@ -171,14 +169,14 @@ def nelson_drift(wf: WaveFunction, nu: float) -> DriftField:
     m = madelung_decompose(wf)
     h = float(m.x[1] - m.x[0])
     mask = m.mask
-    floor = m.rho[mask].min() if mask.any() else 1e-300
+    floor = m.rho[mask].min()  # the mask holds the density's maximum
     safe_rho = np.where(mask, m.rho, floor)
     safe_S = np.where(np.isfinite(m.S), m.S, 0.0)
     v = np.gradient(safe_S, h) / wf.mass
     u = nu * np.gradient(np.log(safe_rho), h)
     v[~mask] = 0.0
     u[~mask] = 0.0
-    return DriftField(x=m.x, b=v + u, v=v, u=u, mask=mask)
+    return DriftField(x=m.x, b=v + u, v=v, u=u)
 
 
 def grid_interp(x: np.ndarray, xp: np.ndarray, fp: np.ndarray, slope: np.ndarray) -> np.ndarray:

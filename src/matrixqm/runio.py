@@ -138,10 +138,6 @@ def parse_config(text: str) -> ExperimentConfig:
     })
 
 
-def serialize_config(cfg: ExperimentConfig) -> str:
-    return json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True)
-
-
 def replica_seed(master_seed: int, replica: int, stream: str) -> int:
     """Splittable seeding: adding replicas or streams never perturbs existing ones."""
     # Tag 1 belonged to a stream that nothing drew from; the others keep
@@ -165,29 +161,26 @@ def conventions(cfg: ExperimentConfig) -> dict:
 
 
 def build_manifest(cfg: ExperimentConfig, per_replica_seeds: list, wall_clock: float,
-                   extra: dict | None = None) -> dict:
-    """The config echo, seeds and conventions of a run, and the entries of
-    extra (for example jacobi_stopping's)."""
-    return {
+                   position_tol=None) -> dict:
+    """The config echo, seeds and conventions of a run.  Given the
+    position_tol of its Jacobi frames (dynamics.frame_position_tol's value,
+    or a dict N -> value for a sweep), the manifest also states their
+    stopping rule as jacobi_stopping."""
+    manifest = {
         "config": dataclasses.asdict(cfg),
         "code_version": __version__,
         "per_replica_seeds": per_replica_seeds,
         "wall_clock_seconds": wall_clock,
         "conventions": conventions(cfg),
-        **(extra or {}),
     }
-
-
-def jacobi_stopping(position_tol) -> dict:
-    """The manifest entry stating the stopping rule of the Jacobi frames of a
-    run: dynamics.frame_position_tol's value, or a dict N -> value for a
-    sweep."""
-    return {"jacobi_stopping": {
-        "angle_tol": JACOBI_ANGLE_TOL,
-        "frame_displacement_fraction": FRAME_DISPLACEMENT_FRACTION,
-        "residual_drop": POSITION_RULE_RESIDUAL_DROP,
-        "position_tol": position_tol,
-    }}
+    if position_tol is not None:
+        manifest["jacobi_stopping"] = {
+            "angle_tol": JACOBI_ANGLE_TOL,
+            "frame_displacement_fraction": FRAME_DISPLACEMENT_FRACTION,
+            "residual_drop": POSITION_RULE_RESIDUAL_DROP,
+            "position_tol": position_tol,
+        }
+    return manifest
 
 
 # ---------------------------------------------------------------------------

@@ -181,7 +181,7 @@ def test_criterion_05_estimator_calibration():
     paths = np.cumsum(rng.normal(0, np.sqrt(2 * nu_true * dt), (R, T)), axis=1)
     times = np.arange(T) * dt
     trajs = EigenTrajectory(times=times, positions=paths[:, :, None, None])
-    est = estimate_diffusion(trajs, (5 * dt, 50 * dt))
+    est = estimate_diffusion(trajs, (5, 50))
     rel = abs(est.nu_hat - nu_true) / nu_true
     assert rel < 0.02, f"brownian nu rel err {rel:.4f}"
     print(f"brownian: nu_hat {est.nu_hat:.5f} (true {nu_true}, {rel*100:.2f}%)")
@@ -370,7 +370,6 @@ def test_criterion_10_manifest_reproducibility(tmp_path):
                      os.path.join(out1, "manifest.json"),
                      "--out", out2]) == EXIT_OK
     for name in ("record_000.csv", "record_001.csv"):
-        a = open(os.path.join(out1, name), "rb").read()
-        b = open(os.path.join(out2, name), "rb").read()
-        assert a == b, f"{name} differs between original and manifest re-run"
+        with open(os.path.join(out1, name), "rb") as a, open(os.path.join(out2, name), "rb") as b:
+            assert a.read() == b.read(), f"{name} differs between original and manifest re-run"
     print("manifest re-execution byte-identical for all records")

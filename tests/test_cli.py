@@ -31,6 +31,16 @@ def fresh_env():
     return env
 
 
+def read(path, mode="r"):
+    """The contents of path, read through a file that is closed again."""
+    with open(path, mode) as fh:
+        return fh.read()
+
+
+def load_json(path):
+    return json.loads(read(path))
+
+
 def write_config(tmp_path, doc, name="cfg.json"):
     path = os.path.join(tmp_path, name)
     with open(path, "w") as fh:
@@ -45,7 +55,7 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", out]) == EXIT_OK
         names = sorted(os.listdir(out))
         assert names == ["manifest.json", "record_000.csv", "record_001.csv"]
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = load_json(os.path.join(out, "manifest.json"))
         assert manifest["config"]["ensemble"]["master_seed"] == 77
         assert len(manifest["per_replica_seeds"]) == 2
         assert "conventions" in manifest
@@ -58,8 +68,8 @@ class TestSimulate:
         manifest = os.path.join(out1, "manifest.json")
         assert main(["simulate", "--config", manifest, "--out", out2]) == EXIT_OK
         for name in ("record_000.csv", "record_001.csv"):
-            a = open(os.path.join(out1, name), "rb").read()
-            b = open(os.path.join(out2, name), "rb").read()
+            a = read(os.path.join(out1, name), "rb")
+            b = read(os.path.join(out2, name), "rb")
             assert a == b
 
     def test_seed_changes_output(self, tmp_path):
@@ -70,8 +80,8 @@ class TestSimulate:
             **BASE_CONFIG["ensemble"], "master_seed": 78}}, "s2.json")
         assert main(["simulate", "--config", cfg1, "--out", out1]) == EXIT_OK
         assert main(["simulate", "--config", cfg2, "--out", out2]) == EXIT_OK
-        a = open(os.path.join(out1, "record_000.csv")).read()
-        b = open(os.path.join(out2, "record_000.csv")).read()
+        a = read(os.path.join(out1, "record_000.csv"))
+        b = read(os.path.join(out2, "record_000.csv"))
         assert a != b
 
     def test_replica_records_independent_of_ensemble_size(self, tmp_path):
@@ -83,8 +93,8 @@ class TestSimulate:
             assert main(["simulate", "--config", cfg, "--out", outs[replicas]]) == EXIT_OK
         assert len([n for n in os.listdir(outs[3]) if n.startswith("record_")]) == 3
         for name in ("record_000.csv", "record_001.csv"):
-            a = open(os.path.join(outs[2], name), "rb").read()
-            b = open(os.path.join(outs[3], name), "rb").read()
+            a = read(os.path.join(outs[2], name), "rb")
+            b = read(os.path.join(outs[3], name), "rb")
             assert a == b
 
     def test_default_out_dir(self, tmp_path, monkeypatch):
@@ -149,8 +159,8 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", out1]) == EXIT_OK
         manifest = os.path.join(out1, "manifest.json")
         assert main(["simulate", "--config", manifest, "--out", out2]) == EXIT_OK
-        a = open(os.path.join(out1, "record_000.csv"), "rb").read()
-        b = open(os.path.join(out2, "record_000.csv"), "rb").read()
+        a = read(os.path.join(out1, "record_000.csv"), "rb")
+        b = read(os.path.join(out2, "record_000.csv"), "rb")
         assert a == b
 
     def test_manifest_reexecution_byte_identical_at_n20(self, tmp_path):
@@ -166,8 +176,8 @@ class TestSimulate:
         manifest = os.path.join(out1, "manifest.json")
         assert main(["simulate", "--config", manifest, "--out", out2]) == EXIT_OK
         for name in ("record_000.csv", "record_001.csv"):
-            a = open(os.path.join(out1, name), "rb").read()
-            b = open(os.path.join(out2, name), "rb").read()
+            a = read(os.path.join(out1, name), "rb")
+            b = read(os.path.join(out2, name), "rb")
             assert a == b
 
 
@@ -191,6 +201,19 @@ BAD_CONFIGS = [
     ("oracle", "oracle", "omega0", 0.0),
     ("oracle", "oracle", "grid_points", 1),
     ("oracle", "oracle", "walkers", 0),
+    ("simulate", "integrator", "steps", -1),
+    ("simulate", "integrator", "temperature", -1.0),
+    ("simulate", "integrator", "dt", True),
+    ("simulate", "ensemble", "replicas", 0),
+    ("simulate", "ensemble", "master_seed", -1),
+    ("simulate", "ensemble", "spread", -1.0),
+    ("sweep", "sweep", "t_scaled", -1.0),
+    ("sweep", "sweep", "burn_in_steps", -1),
+    ("sweep", "sweep", "record_every", 0),
+    ("sweep", "sweep", "steps", 5),
+    ("sweep", "sweep", "dt", 0.0),
+    ("sweep", "sweep", "gamma", 0.0),
+    ("sweep", "sweep", "spread", -1.0),
 ]
 
 
@@ -229,6 +252,17 @@ def test_removed_section_rejected(tmp_path, capsys, command, section, key, value
     err = capsys.readouterr().err
     assert f"config error: {section}: unknown section" in err
     assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("text,where", [("[]", "top level"), ('{"model": []}', "model")])
+def test_non_object_rejected(tmp_path, capsys, text, where):
+    cfg = os.path.join(tmp_path, "cfg.json")
+    with open(cfg, "w") as fh:
+        fh.write(text)
+    out = os.path.join(tmp_path, "out")
+    assert main(["simulate", "--config", cfg, "--out", out]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"config error: {where}: expected an object\n"
     assert not os.path.exists(out)
 
 
@@ -284,7 +318,7 @@ class TestSweep:
         cfg = write_config(tmp_path, doc)
         out = os.path.join(tmp_path, "sw")
         assert main(["sweep", "--config", cfg, "--out", out]) == EXIT_OK
-        lines = open(os.path.join(out, "sweep.csv")).read().splitlines()
+        lines = read(os.path.join(out, "sweep.csv")).splitlines()
         assert lines[0].startswith("N,T,t_scaled,nu_hat")
         assert len(lines) == 2
         vals = lines[1].split(",")
@@ -300,7 +334,7 @@ class TestSweep:
         cfg = write_config(tmp_path, doc)
         out = os.path.join(tmp_path, "sw")
         assert main(["sweep", "--config", cfg, "--out", out]) == EXIT_OK
-        rule = json.load(open(os.path.join(out, "sweep_manifest.json")))["jacobi_stopping"]
+        rule = load_json(os.path.join(out, "sweep_manifest.json"))["jacobi_stopping"]
         # T = 8 t / N at d = 2; dt_rec = 0.1.
         assert rule["angle_tol"] == 1e-8 and rule["frame_displacement_fraction"] == 1e-3
         assert rule["residual_drop"] == 1e-6
@@ -308,7 +342,7 @@ class TestSweep:
             {str(N): 1e-3 * np.sqrt(0.8 / N * 0.1 / 0.5) for N in (3, 4)}, rel=1e-12)
         cfg = write_config(tmp_path, BASE_CONFIG)
         assert main(["simulate", "--config", cfg, "--out", out]) == EXIT_OK
-        rule = json.load(open(os.path.join(out, "manifest.json")))["jacobi_stopping"]
+        rule = load_json(os.path.join(out, "manifest.json"))["jacobi_stopping"]
         assert rule["position_tol"] == pytest.approx(1e-3 * np.sqrt(0.3 * 0.04 / 0.5), rel=1e-12)
 
     def test_manifest_reexecution_byte_identical(self, tmp_path):
@@ -324,13 +358,13 @@ class TestSweep:
         out2 = os.path.join(tmp_path, "s2")
         assert main(["sweep", "--config", cfg, "--out", out1]) == EXIT_OK
         manifest_path = os.path.join(out1, "sweep_manifest.json")
-        seeds = json.load(open(manifest_path))["per_replica_seeds"]
+        seeds = load_json(manifest_path)["per_replica_seeds"]
         assert [(s["N"], s["replica"]) for s in seeds] == [(3, 0), (3, 1), (4, 0), (4, 1)]
         assert all(set(s) == {"N", "replica", "init", "burn", "run"} for s in seeds)
         assert len({s[k] for s in seeds for k in ("init", "burn", "run")}) == 12
         assert main(["sweep", "--config", manifest_path, "--out", out2]) == EXIT_OK
-        a = open(os.path.join(out1, "sweep.csv"), "rb").read()
-        b = open(os.path.join(out2, "sweep.csv"), "rb").read()
+        a = read(os.path.join(out1, "sweep.csv"), "rb")
+        b = read(os.path.join(out2, "sweep.csv"), "rb")
         assert a == b
 
     def test_point_independent_of_rest_of_n_list(self, tmp_path):
@@ -345,9 +379,9 @@ class TestSweep:
             cfg = write_config(tmp_path, doc, f"cfg{len(n_list)}.json")
             out = os.path.join(tmp_path, f"sw{len(n_list)}")
             assert main(["sweep", "--config", cfg, "--out", out]) == EXIT_OK
-            manifest = json.load(open(os.path.join(out, "sweep_manifest.json")))
+            manifest = load_json(os.path.join(out, "sweep_manifest.json"))
             outputs[len(n_list)] = (
-                open(os.path.join(out, "sweep.csv"), "rb").read().splitlines()[-1],
+                read(os.path.join(out, "sweep.csv"), "rb").splitlines()[-1],
                 [s for s in manifest["per_replica_seeds"] if s["N"] == 4],
                 manifest["jacobi_stopping"]["position_tol"]["4"])
         assert outputs[1][0].startswith(b"4,")
@@ -393,8 +427,11 @@ class TestOracle:
                           "walkers": 2000}}
         cfg = write_config(tmp_path, doc)
         out = os.path.join(tmp_path, "orc")
-        assert main(["oracle", "--config", cfg, "--out", out]) == EXIT_OK
-        report = json.load(open(os.path.join(out, "oracle_report.json")))
+        # At dt = 0.002 the harmonic check's potential phase, 0.002 * 72, is
+        # over the solver's 0.1, and the command passes its warning on.
+        with pytest.warns(RuntimeWarning, match=r"dt\*max\|V\|/hbar = 0\.144 > 0\.1"):
+            assert main(["oracle", "--config", cfg, "--out", out]) == EXIT_OK
+        report = load_json(os.path.join(out, "oracle_report.json"))
         widths = report["free_packet_width"]
         for row in widths:
             assert abs(row["sigma_measured"] - row["sigma_analytic"]) < 1e-4
@@ -425,8 +462,8 @@ def test_reports_state_kde_bandwidth_and_cell(tmp_path):
     assert main(["compare", "--config", cfg, "--out", out,
                  os.path.join(out, "record_000.csv"),
                  os.path.join(out, "oracle_psi.csv")]) == EXIT_OK
-    report = json.load(open(os.path.join(out, "oracle_report.json")))
-    verdict = json.load(open(os.path.join(out, "compare_verdict.json")))
+    report = load_json(os.path.join(out, "oracle_report.json"))
+    verdict = load_json(os.path.join(out, "compare_verdict.json"))
     # 48 points over the default extent 24: the cell is 0.5 / ceil(2.5 / bandwidth).
     for doc in [*report["nelson_convention_ab"].values(), verdict]:
         bw = doc["bandwidth"]
@@ -451,7 +488,7 @@ class TestCompare:
                    os.path.join(out, "record_000.csv"),
                    os.path.join(out, "oracle_psi.csv")])
         assert rc == EXIT_OK
-        verdict = json.load(open(os.path.join(out, "compare_verdict.json")))
+        verdict = load_json(os.path.join(out, "compare_verdict.json"))
         assert np.isfinite(verdict["L1"])
         assert np.isfinite(verdict["KS"])
         assert "report only" in verdict["note"]
@@ -481,6 +518,10 @@ class TestCompare:
          "psi is zero at every grid point"),
         ("oracle_file", "x,re_psi,im_psi\n0,1,0\n0.1,nan,0\n0.2,1,0\n",
          "a value is not finite"),
+        ("oracle_file", "x,psi\n0,1\n0.1,1\n", "header is not x,re_psi,im_psi"),
+        ("oracle_file", "x,re_psi,im_psi\n0,1,0\n", "fewer than two grid points"),
+        ("oracle_file", "x,re_psi,im_psi\n0,1,0\n0.1,1\n",
+         "data row 2: 2 fields, the header has 3"),
     ])
     def test_bad_input_file_usage_exit(self, tmp_path, capsys, target, text, reason):
         cfg = write_config(tmp_path, BASE_CONFIG)
@@ -537,7 +578,7 @@ class TestCompare:
                                "orc.json")
         main(["oracle", "--config", orc_cfg, "--out", out])
         record = os.path.join(out, "record_000.csv")
-        rows = [ln.split(",") for ln in open(record).read().splitlines()]
+        rows = [ln.split(",") for ln in read(record).splitlines()]
         assert rows[0][-3:] == ["jd_residual", "jd_converged", "jd_sweeps"]
         # Older records end before jd_sweeps, or before jd_converged.
         trajs = [record]
@@ -551,7 +592,7 @@ class TestCompare:
             sub = os.path.join(tmp_path, f"cmp_{k}")
             assert main(["compare", "--config", cfg, "--out", sub,
                          traj, os.path.join(out, "oracle_psi.csv")]) == EXIT_OK
-            verdicts.append(open(os.path.join(sub, "compare_verdict.json")).read())
+            verdicts.append(read(os.path.join(sub, "compare_verdict.json")))
         assert verdicts[0] == verdicts[1] == verdicts[2]
 
 
@@ -560,7 +601,7 @@ class TestCalibrate:
         cfg = write_config(tmp_path, BASE_CONFIG)
         out = os.path.join(tmp_path, "cal")
         assert main(["calibrate", "--config", cfg, "--out", out]) == EXIT_OK
-        rep = json.load(open(os.path.join(out, "calibration_report.json")))
+        rep = load_json(os.path.join(out, "calibration_report.json"))
         assert rep["brownian"]["rel_error"] < 0.02
         assert rep["ou_drift"]["rel_error"] < 0.05
         assert rep["ou_diffusion"]["rel_error"] < 0.05
@@ -691,7 +732,7 @@ def test_tracer_runs_every_command(tmp_path):
         proc = subprocess.run([sys.executable, TRACER, spans, *argv], env=fresh_env(),
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == EXIT_OK, (argv[0], proc.stderr)
-        seen |= {span[0] for span in json.load(open(spans))["spans"]}
+        seen |= {span[0] for span in load_json(spans)["spans"]}
     for name in ("dynamics.run", "core.joint_diagonalize", "estimators.scaling_sweep",
                  "estimators.track_particles", "estimators.estimate_diffusion",
                  "estimators.estimate_current_velocity", "oracle.nelson_evolve",

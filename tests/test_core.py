@@ -127,6 +127,12 @@ class TestKinetic:
         by_entry = 0.5 * (2 * 1.5) * (1.0**2 + 3.0**2) + 0.5 * (4 * 1.5) * 2.0**2
         assert kinetic_energy(cfg, p) == pytest.approx(by_entry, rel=1e-14)
 
+    def test_params_mismatch(self):
+        cfg = random_config(ModelParams(d=2, N=3), spread=0.5, seed=9)
+        with pytest.raises(ShapeError, match=r"config \(d=2, N=3\) does not match "
+                                             r"params \(d=2, N=4\)"):
+            kinetic_energy(cfg, ModelParams(d=2, N=4))
+
     def test_com_momentum(self):
         p = ModelParams(d=2, N=3, mu=2.0)
         cfg = random_config(p, spread=0.5, seed=9)

@@ -21,6 +21,7 @@ from matrixqm.core import (
 from matrixqm.dynamics import (
     IntegratorConfig,
     NumericsError,
+    TrajectoryRecord,
     frame_position_tol,
     integrated_autocorrelation_time,
     measure_temperature,
@@ -218,6 +219,9 @@ class TestRunPlumbing:
             IntegratorConfig(mode="microcanonical", dt=0.01, steps=10,
                              record_every=0)
 
+    def test_no_replicas_no_records(self):
+        assert run([], ModelParams(d=2, N=3), IntegratorConfig(steps=10)) == []
+
 
 class TestEquilibration:
     def test_autocorrelation_time_white_noise(self):
@@ -237,6 +241,27 @@ class TestEquilibration:
         expected = (1 + a) / (2 * (1 - a))
         tau = integrated_autocorrelation_time(x)
         assert abs(tau - expected) / expected < 0.2
+
+    @pytest.mark.parametrize("x", [[1.0, 2.0, 3.0], np.full(100, 2.0)])
+    def test_autocorrelation_time_short_or_constant(self, x):
+        assert integrated_autocorrelation_time(x) == 0.5
+
+    @staticmethod
+    def kinetic_record(K):
+        n = len(K)
+        return TrajectoryRecord(times=np.arange(n, dtype=float), spectra=np.zeros((n, 2, 3)),
+                                energies=np.stack([K, np.zeros(n)], axis=1),
+                                com_momenta=np.zeros((n, 2)))
+
+    def test_temperature_of_zero_kinetic_energy(self):
+        rec = self.kinetic_record(np.zeros(20))
+        assert measure_temperature(rec, ModelParams(d=2, N=3)) == (0.0, 0.0)
+
+    def test_temperature_of_short_record_names_blocks(self):
+        # Anticorrelated, so tau = 0.5 and each sample is a block.
+        rec = self.kinetic_record(np.array([1.0, 2.0, 1.0, 2.0, 1.0]))
+        with pytest.raises(ValueError, match=r"5 samples, block size 1 gives 5 blocks \(< 8\)"):
+            measure_temperature(rec, ModelParams(d=2, N=3))
 
 
 # (d, N, mode, project_trace_noise, kappa, record_frames, seed)

@@ -261,6 +261,11 @@ class TestContinuity:
         rhos, est, dt = self.analytic_fields(n)
         return rhos, est, dt
 
+    def test_needs_three_snapshots(self):
+        rhos, est, dt = self.analytic_fields(21)
+        with pytest.raises(ValueError, match="need 3 density snapshots, got 2"):
+            continuity_residual(rhos[:2], est, dt)
+
 
 class TestIrrotationality:
     def test_gradient_flow_small(self):
@@ -282,12 +287,24 @@ class TestIrrotationality:
         est = FieldEstimate(grid=g, v=np.ones((1, 11)))
         assert irrotationality_residual(est) == 0.0
 
+    def test_no_interior_cell_zero(self):
+        # A 2 x 2 grid is all boundary.
+        g = Grid.regular(-1.0, 1.0, 2, ndim=2)
+        mesh = np.meshgrid(*g.axes, indexing="ij")
+        est = FieldEstimate(grid=g, v=np.stack([-mesh[1], mesh[0]]))
+        assert irrotationality_residual(est) == 0.0
+
+    def test_constant_field_zero(self):
+        g = Grid.regular(-1.0, 1.0, 9, ndim=2)
+        est = FieldEstimate(grid=g, v=np.ones((2, 9, 9)))
+        assert irrotationality_residual(est) == 0.0
+
 
 class TestDiffusion:
     def test_brownian_recovery(self):
         nu = 0.25
         trajs = brownian_trajectories(nu, 100, 2000, 0.01, 12)
-        est = estimate_diffusion(trajs, (0.05, 0.5))
+        est = estimate_diffusion(trajs, (5, 50))
         assert abs(est.nu_hat - nu) / nu < 0.03
         assert est.stderr > 0
 
@@ -295,19 +312,38 @@ class TestDiffusion:
         times = np.arange(100) * 0.01
         positions = 0.3 * np.arange(8.0)[:, None] + 2.0 * times
         trajs = EigenTrajectory(times=times, positions=positions[:, :, None, None])
-        est = estimate_diffusion(trajs, (0.05, 0.5))
+        est = estimate_diffusion(trajs, (5, 50))
         assert est.nu_hat < 1e-20
 
     def test_stationary_ou_short_window(self):
         theta, nu, dt = 1.0, 0.2, 0.01
         trajs = ou_trajectories(theta, nu, 400, 200, dt, 13, np.sqrt(nu / theta))
-        est = estimate_diffusion(trajs, (dt, 10 * dt))
+        est = estimate_diffusion(trajs, (1, 10))
         assert abs(est.nu_hat - nu) / nu < 0.05
 
     def test_window_too_narrow(self):
         trajs = brownian_trajectories(0.1, 10, 100, 0.01, 15)
         with pytest.raises(ValueError):
-            estimate_diffusion(trajs, (0.01, 0.03))
+            estimate_diffusion(trajs, (1, 3))
+
+    def test_lags_beyond_the_records_do_not_count(self):
+        trajs = brownian_trajectories(0.1, 10, 8, 0.01, 15)
+        with pytest.raises(ValueError, match="give 3 lags"):
+            estimate_diffusion(trajs, (5, 50))
+
+    def test_lag_window_is_exact_off_zero(self):
+        # Records at 10.0 + 0.1 k are spaced 0.09999999999999964 apart, so a
+        # window in time (0.5, 5.0) would lose lag 5 to rounding; in lags it
+        # keeps it, and the fit equals the one on the same paths at 0.1 k.
+        paths = brownian_trajectories(0.1, 10, 60, 0.1, 16).positions
+        late = EigenTrajectory(times=10.0 + 0.1 * np.arange(60), positions=paths)
+        early = EigenTrajectory(times=0.1 * np.arange(60), positions=paths)
+        assert late.times[1] - late.times[0] < 0.1
+        assert estimate_diffusion(late, (5, 50)).nu_hat == pytest.approx(
+            estimate_diffusion(early, (5, 50)).nu_hat, rel=1e-12)
+        # Lags 5..9 of 10 records: exactly the minimum of 5.
+        short = EigenTrajectory(times=late.times[:10], positions=paths[:, :10])
+        assert estimate_diffusion(short, (5, 50)).nu_hat > 0
 
 
 class TestFormulaLayer:

@@ -175,6 +175,13 @@ class TestSchrodinger:
         assert np.array_equal(bits(out.psi), bits(psi))
         assert np.array_equal(bits(wf.psi), bits(psi0))  # input kept
 
+    def test_complex_potential_rejected(self):
+        # The dtype is checked before the cast, which would evolve V = 0.5i as V = 0.
+        x = periodic_grid()
+        wf = gaussian_packet(x, 0.0, 1.0, 0.0, HBAR, MASS)
+        with pytest.raises(ValueError, match="V must be real"):
+            evolve_schrodinger(wf, np.full(len(x), 0.5j), 1e-3, 10)
+
 
 class TestMadelung:
     def test_round_trip(self):
