@@ -188,6 +188,8 @@ def track_particles(positions: np.ndarray, times) -> EigenTrajectory:
     """
     if positions.ndim != 4 or 0 in positions.shape[:2]:
         raise ValueError("no frames: positions must have shape (R, T, N, d) with R, T >= 1")
+    if not np.isfinite(positions).all():
+        raise ValueError("positions must be finite")
     n = positions.shape[2]
     tracks, ambiguous = [], []
     for replica in positions:
@@ -348,24 +350,19 @@ def irrotationality_residual(v_field: FieldEstimate) -> float:
 # diffusion
 
 
-# Bootstrap resamples of the replicas behind each diffusion stderr.
-N_BOOTSTRAP = 200
-
-
-def estimate_diffusion(trajectories: EigenTrajectory, lags: tuple,
-                       seed: int = 0) -> DiffusionEstimate:
+def estimate_diffusion(trajectories: EigenTrajectory, lags: tuple) -> DiffusionEstimate:
     """Per-coordinate diffusion constant of an ensemble of paths.
 
     Fits <(dx)^2> = 2 nu tau over the record lags k = lag_min..lag_max of
     lags = (lag_min, lag_max), as far as the T records reach, with
-    tau = k * (times[1] - times[0]).  The fit runs on the (R, T, N, d)
-    positions of the ensemble, after subtracting the ensemble-mean
-    displacement (drift).  The standard error comes from a bootstrap over
-    the R replicas.
+    tau = k * (times[1] - times[0]), to the (R, T, N, d) positions less the
+    ensemble-mean displacement (drift).  The stderr is the replica jackknife
+    sd(nu_r) / sqrt(R) of the per-replica fits nu_r (R - 1 degrees of
+    freedom, nan at R = 1).  It holds the shared drift correction fixed,
+    which couples replicas of few particles, and there it runs low (README).
     """
-    times, pos = trajectories.times, trajectories.positions
+    pos = trajectories.positions
     R, T, N, _ = pos.shape
-    dt = times[1] - times[0]
     lag_min, lag_max = lags
     ks = range(max(lag_min, 1), min(lag_max, T - 1) + 1)
     if len(ks) < 5:
@@ -374,25 +371,17 @@ def estimate_diffusion(trajectories: EigenTrajectory, lags: tuple,
 
     # per-replica, per-lag mean squared (drift-corrected) displacement
     msd_r = np.zeros((R, len(ks)))
-    n_paths = R * N
-    bias = n_paths / (n_paths - 1) if n_paths > 1 else 1.0
+    bias = R * N / (R * N - 1) if R * N > 1 else 1.0
     for j, k in enumerate(ks):
         disp = pos[:, k:] - pos[:, :-k]  # (R, T-k, N, d)
         disp = disp - disp.mean(axis=(0, 2), keepdims=True)
         msd_r[:, j] = bias * np.mean(disp**2, axis=(1, 2, 3))
 
-    taus = np.array(ks) * dt
-
-    def fit(msd_mean):
-        return float(np.dot(msd_mean, taus) / (2.0 * np.dot(taus, taus)))
-
-    nu_hat = max(fit(msd_r.mean(axis=0)), 0.0)
-    stderr = 0.0
-    if R > 1:
-        rng = np.random.default_rng(seed)
-        draws = np.array([fit(msd_r[rng.integers(0, R, size=R)].mean(axis=0))
-                          for _ in range(N_BOOTSTRAP)])
-        stderr = float(draws.std(ddof=1))
+    taus = np.array(ks) * (trajectories.times[1] - trajectories.times[0])
+    norm = 2.0 * np.dot(taus, taus)
+    nu_hat = max(float(np.dot(msd_r.mean(axis=0), taus) / norm), 0.0)
+    nu_r = msd_r @ taus / norm
+    stderr = float(nu_r.std(ddof=1) / np.sqrt(R)) if R > 1 else float("nan")
     return DiffusionEstimate(nu_hat=nu_hat, stderr=stderr)
 
 
@@ -485,10 +474,11 @@ def sweep_point(base_params: ModelParams, settings: SweepSettings, N: int,
     The temperature is set to 8(d-1) mu omega^2 t / N, an ensemble of
     Langevin runs is thermalized and recorded, particle trajectories are
     tracked through joint-diagonalized frames, and the diffusion constant
-    fitted over record lags 5..50 is reported next to the scaling-limit
-    prediction.  Replica r's initial configuration, burn-in noise and
-    measurement-run noise are seeded from SeedSequence([master_seed, N, r]),
-    so the point does not depend on the rest of settings.N_list.
+    fitted over record lags 5..50, with its replica-jackknife stderr (see
+    estimate_diffusion), is reported next to the scaling-limit prediction.
+    The only random streams are replica r's initial configuration, burn-in
+    noise and measurement-run noise, seeded from SeedSequence([master_seed,
+    N, r]), so the point does not depend on the rest of settings.N_list.
 
     Returns the ScalingPoint, each replica's {init, burn, run} seeds and the
     position_tol of the measurement run's frames.
@@ -528,7 +518,7 @@ def sweep_point(base_params: ModelParams, settings: SweepSettings, N: int,
     # Remove the per-frame collective (trace-mode) motion.
     traj.positions = traj.positions - traj.positions.mean(axis=2, keepdims=True)
 
-    est = estimate_diffusion(traj, (5, 50), seed=master_seed + N)
+    est = estimate_diffusion(traj, (5, 50))
 
     # Irrotationality diagnostic at mid-run on a d-dimensional grid.
     # SweepSettings guarantees >= 11 records, so the middle one has

@@ -334,6 +334,11 @@ class TestSweep:
         cfg = write_config(tmp_path, doc)
         out = os.path.join(tmp_path, "sw")
         assert main(["sweep", "--config", cfg, "--out", out]) == EXIT_OK
+        # One replica: a finite nu_hat, and no replica spread to give a stderr.
+        rows = [ln.split(",") for ln in read(os.path.join(out, "sweep.csv")).splitlines()]
+        assert rows[0][3:5] == ["nu_hat", "nu_stderr"]
+        for row in rows[1:]:
+            assert np.isfinite(float(row[3])) and np.isnan(float(row[4]))
         rule = load_json(os.path.join(out, "sweep_manifest.json"))["jacobi_stopping"]
         # T = 8 t / N at d = 2; dt_rec = 0.1.
         assert rule["angle_tol"] == 1e-8 and rule["frame_displacement_fraction"] == 1e-3

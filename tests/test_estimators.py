@@ -1,5 +1,7 @@
 """Statistical-estimator tests on synthetic processes with known answers."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,6 +126,14 @@ class TestTracking:
         frames = [base + 1e-3 * rng.normal(size=base.shape) for _ in range(5)]
         trajs = track_particles(np.stack(frames)[None], np.arange(5.0))
         assert not trajs.ambiguous.any()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_positions_rejected(self, bad):
+        # A non-finite cost would keep the Hungarian search from terminating.
+        xs = np.array([[0.0, 1.0, 3.0], [0.9, 1.2, 3.0], [0.95, 1.25, 3.05]])
+        xs[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            track_particles(xs[None, :, :, None], np.arange(3.0))
 
 
 def total(cost, cols):
@@ -344,6 +354,33 @@ class TestDiffusion:
         # Lags 5..9 of 10 records: exactly the minimum of 5.
         short = EigenTrajectory(times=late.times[:10], positions=paths[:, :10])
         assert estimate_diffusion(short, (5, 50)).nu_hat > 0
+
+    @pytest.mark.parametrize("R", [2, 4, 8])
+    def test_stderr_matches_spread(self, R):
+        # Over many ensembles of 16 Brownian particles per replica, the mean
+        # squared stderr matches the variance of nu_hat.
+        nu, T, dt, n_ens = 0.1, 60, 0.1, 400
+        rng = np.random.default_rng(R)
+        nus, var = [], []
+        for _ in range(n_ens):
+            steps = rng.normal(0.0, np.sqrt(2 * nu * dt), size=(R, T, 16, 1))
+            steps[:, 0] = 0.0
+            est = estimate_diffusion(EigenTrajectory(
+                times=np.arange(T) * dt, positions=np.cumsum(steps, axis=1)), (5, 50))
+            nus.append(est.nu_hat)
+            var.append(est.stderr**2)
+        assert 0.7 <= np.mean(var) / np.var(nus, ddof=1) <= 1.3
+
+    def test_single_replica_stderr_nan(self):
+        # One replica of 8 particles (one particle alone has no motion left
+        # after the drift correction).
+        paths = brownian_trajectories(0.1, 8, 60, 0.1, 17).positions
+        trajs = EigenTrajectory(times=0.1 * np.arange(60), positions=paths.transpose(2, 1, 0, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_diffusion(trajs, (5, 50))
+        assert est.nu_hat > 0
+        assert np.isnan(est.stderr)
 
 
 class TestFormulaLayer:
