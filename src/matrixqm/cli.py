@@ -39,7 +39,6 @@ from .oracle import (
     evolve_schrodinger,
     free_packet_width,
     gaussian_packet,
-    grid_spacing,
     harmonic_eigenstate,
     kde_cell,
     nelson_evolve,
@@ -204,13 +203,28 @@ def _parse_input(path: str, parse, data):
         raise InputError(f"{path}: {e}") from e
 
 
+def _check_run_config(cfg, args):
+    """ConfigError unless --config has the model and integrator of the run
+    that wrote the trajectory, as the manifest.json beside it states."""
+    path = os.path.join(os.path.dirname(args.trajectory), "manifest.json")
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as e:
+        raise InputError(f"{path}: {e.strerror}") from e
+    run_cfg = _parse_input(path, parse_config, text)
+    differ = [s for s in ("model", "integrator") if getattr(run_cfg, s) != getattr(cfg, s)]
+    if differ:
+        raise ConfigError(f"compare: {args.config} and the run's {path} differ in "
+                          + " and ".join(differ))
+
+
 def cmd_compare(cfg, args) -> dict:
     with open(args.trajectory) as fh:
         traj_text = fh.read()
     with open(args.oracle_file) as fh:
         oracle_text = fh.read()
     x, psi = _parse_input(args.oracle_file, load_wavefunction_csv, oracle_text)
-    _parse_input(args.oracle_file, grid_spacing, x)
     samples, diag = _parse_input(args.trajectory, _trajectory_samples, traj_text)
 
     h = x[1] - x[0]
@@ -218,6 +232,7 @@ def cmd_compare(cfg, args) -> dict:
     rho_oracle = rho_oracle / (rho_oracle.sum() * h)
     bw = silverman_bandwidth(samples)
     rho_m = _parse_input(args.trajectory, lambda s: walker_density(s, x, bw), samples)
+    _check_run_config(cfg, args)
     verdict = {
         "L1": compare_densities(rho_m, rho_oracle, "L1", h),
         "KS": compare_densities(rho_m, rho_oracle, "KS", h),

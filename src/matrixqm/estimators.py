@@ -360,9 +360,13 @@ def estimate_diffusion(trajectories: EigenTrajectory, lags: tuple) -> DiffusionE
     sd(nu_r) / sqrt(R) of the per-replica fits nu_r (R - 1 degrees of
     freedom, nan at R = 1).  It holds the shared drift correction fixed,
     which couples replicas of few particles, and there it runs low (README).
+    ValueError for fewer than two paths (R * N < 2): the drift of one path
+    is its own displacement.
     """
     pos = trajectories.positions
     R, T, N, _ = pos.shape
+    if R * N < 2:
+        raise ValueError(f"R * N = {R * N} paths; the drift correction needs at least two")
     lag_min, lag_max = lags
     ks = range(max(lag_min, 1), min(lag_max, T - 1) + 1)
     if len(ks) < 5:
@@ -371,7 +375,7 @@ def estimate_diffusion(trajectories: EigenTrajectory, lags: tuple) -> DiffusionE
 
     # per-replica, per-lag mean squared (drift-corrected) displacement
     msd_r = np.zeros((R, len(ks)))
-    bias = R * N / (R * N - 1) if R * N > 1 else 1.0
+    bias = R * N / (R * N - 1)
     for j, k in enumerate(ks):
         disp = pos[:, k:] - pos[:, :-k]  # (R, T-k, N, d)
         disp = disp - disp.mean(axis=(0, 2), keepdims=True)

@@ -34,6 +34,7 @@ from . import __version__
 from .core import JACOBI_ANGLE_TOL, POSITION_RULE_RESIDUAL_DROP, ModelParams
 from .dynamics import FRAME_DISPLACEMENT_FRACTION, IntegratorConfig, TrajectoryRecord
 from .estimators import ScalingPoint, SweepSettings
+from .oracle import grid_spacing
 
 
 class ConfigError(ValueError):
@@ -202,8 +203,34 @@ def atomic_write_text(path: str, text: str):
         raise
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _table(header: list, rows) -> str:
+    """CSV text: numbers printed with %.17g (a float64 round-trips bit for bit,
+    an integer prints as str does), strings as they are."""
+    lines = [",".join(header)]
+    lines += [",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _read_table(text: str, min_rows: int, too_few: str, header: str | None = None):
+    """(names, float matrix) of _table's text, blank lines skipped.  ValueError
+    if the first line is not header (when given), then with too_few if fewer
+    than min_rows data rows, then at the first ragged or non-numeric row."""
+    lines = [ln for ln in text.strip().splitlines() if ln]
+    if header is not None and lines[:1] != [header]:
+        raise ValueError(f"header is not {header}")
+    if len(lines) - 1 < min_rows:
+        raise ValueError(too_few)
+    names = lines[0].split(",")
+    rows = []
+    for k, ln in enumerate(lines[1:], 1):
+        vals = ln.split(",")
+        if len(vals) != len(names):
+            raise ValueError(f"data row {k}: {len(vals)} fields, the header has {len(names)}")
+        try:
+            rows.append([float(v) for v in vals])
+        except ValueError as e:
+            raise ValueError(f"data row {k}: {e}") from None
+    return names, np.array(rows)
 
 
 def record_to_csv(record: TrajectoryRecord) -> str:
@@ -211,80 +238,45 @@ def record_to_csv(record: TrajectoryRecord) -> str:
     then (if frames were recorded) particle positions, the frame residual,
     whether its Jacobi iteration converged (1) or hit its iteration cap (0),
     and its number of Jacobi iterations."""
-    d = record.com_momenta.shape[1]
-    N = record.spectra.shape[2]
-    cols = ["time", "K", "U"]
-    cols += [f"p_{a}" for a in range(d)]
-    cols += [f"lam_{a}_{i}" for a in range(d) for i in range(N)]
-    with_frames = record.positions is not None
-    if with_frames:
+    n, d, N = record.spectra.shape
+    cols = (["time", "K", "U"] + [f"p_{a}" for a in range(d)]
+            + [f"lam_{a}_{i}" for a in range(d) for i in range(N)])
+    blocks = [record.times[:, None], record.energies, record.com_momenta,
+              record.spectra.reshape(n, -1)]
+    if record.positions is not None:
         cols += [f"pos_{i}_{a}" for i in range(N) for a in range(d)]
         cols += ["jd_residual", "jd_converged", "jd_sweeps"]
-    lines = [",".join(cols)]
-    for idx in range(len(record.times)):
-        row = [record.times[idx], record.energies[idx, 0], record.energies[idx, 1]]
-        row += list(record.com_momenta[idx])
-        row += list(record.spectra[idx].ravel())
-        if with_frames:
-            row += list(record.positions[idx].ravel())
-            row += [record.residuals[idx], int(record.converged[idx]), record.sweeps[idx]]
-        lines.append(",".join(_fmt(x) for x in row))
-    return "\n".join(lines) + "\n"
-
-
-def _numeric_rows(lines: list, width: int) -> np.ndarray:
-    """The float matrix of a CSV body; ValueError names the first bad data row."""
-    rows = []
-    for k, ln in enumerate(lines, 1):
-        vals = ln.split(",")
-        if len(vals) != width:
-            raise ValueError(f"data row {k}: {len(vals)} fields, the header has {width}")
-        try:
-            rows.append([float(v) for v in vals])
-        except ValueError as e:
-            raise ValueError(f"data row {k}: {e}") from None
-    return np.array(rows)
+        blocks += [record.positions.reshape(n, -1), record.residuals[:, None],
+                   record.converged[:, None], record.sweeps[:, None]]
+    return _table(cols, np.hstack(blocks))
 
 
 def load_record_csv(text: str) -> dict:
     """Parse a record CSV back into named numpy columns; ValueError if malformed."""
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if len(lines) < 2:
-        raise ValueError("no data rows")
-    header = lines[0].split(",")
-    data = _numeric_rows(lines[1:], len(header))
-    return {name: data[:, j] for j, name in enumerate(header)}
+    names, data = _read_table(text, 1, "no data rows")
+    return {name: data[:, j] for j, name in enumerate(names)}
 
 
 def sweep_to_csv(points, pair_sum: str) -> str:
     """One column per ScalingPoint field, in field order, then pair_sum and
-    nu_convention.  %.17g prints the integer fields exactly as str does."""
+    nu_convention."""
     names = [f.name for f in fields(ScalingPoint)]
-    lines = [",".join(names + ["pair_sum", "nu_convention"])]
-    for p in points:
-        lines.append(",".join([_fmt(getattr(p, n)) for n in names] + [pair_sum, NU_CONVENTION]))
-    return "\n".join(lines) + "\n"
+    return _table(names + ["pair_sum", "nu_convention"],
+                  [[getattr(p, n) for n in names] + [pair_sum, NU_CONVENTION] for p in points])
 
 
 def wavefunction_to_csv(wf) -> str:
-    lines = ["x,re_psi,im_psi"]
-    for x, p in zip(wf.x, wf.psi):
-        lines.append(f"{_fmt(x)},{_fmt(p.real)},{_fmt(p.imag)}")
-    return "\n".join(lines) + "\n"
+    return _table(["x", "re_psi", "im_psi"], np.column_stack([wf.x, wf.psi.real, wf.psi.imag]))
 
 
 def load_wavefunction_csv(text: str):
     """(x, psi) from wavefunction_to_csv's format; ValueError if malformed, if a
-    value is not finite, or if psi is zero everywhere (|psi|^2 cannot be
-    normalized)."""
-    lines = text.strip().splitlines()
-    if not lines or lines[0] != "x,re_psi,im_psi":
-        raise ValueError("header is not x,re_psi,im_psi")
-    if len(lines) < 3:
-        raise ValueError("fewer than two grid points")
-    data = _numeric_rows(lines[1:], 3)
+    value is not finite, if psi is zero everywhere (|psi|^2 cannot be
+    normalized), or if grid_spacing refuses the grid x."""
+    _, data = _read_table(text, 2, "fewer than two grid points", header="x,re_psi,im_psi")
     if not np.isfinite(data).all():
         raise ValueError("a value is not finite")
     if not data[:, 1:].any():
         raise ValueError("psi is zero at every grid point")
-    return data[:, 0], data[:, 1] + 1j * data[:, 2]
+    grid_spacing(data[:, 0])
+    return data[:, 0], data[:, 1:].copy().view(complex)[:, 0]  # keeps a real part of -0.0

@@ -587,8 +587,8 @@ class TestCompare:
         assert rows[0][-3:] == ["jd_residual", "jd_converged", "jd_sweeps"]
         # Older records end before jd_sweeps, or before jd_converged.
         trajs = [record]
-        for drop in (1, 2):
-            old = os.path.join(tmp_path, f"old_record_{drop}.csv")
+        for drop in (1, 2):  # beside the run's manifest, which compare checks
+            old = os.path.join(out, f"old_record_{drop}.csv")
             with open(old, "w") as fh:
                 fh.write("".join(",".join(r[:-drop]) + "\n" for r in rows))
             trajs.append(old)
@@ -599,6 +599,67 @@ class TestCompare:
                          traj, os.path.join(out, "oracle_psi.csv")]) == EXIT_OK
             verdicts.append(read(os.path.join(sub, "compare_verdict.json")))
         assert verdicts[0] == verdicts[1] == verdicts[2]
+
+
+@pytest.fixture(scope="module")
+def compared_run(tmp_path_factory):
+    """A directory holding a run of BASE_CONFIG (its config cfg.json, records
+    and manifest) and an oracle_psi.csv."""
+    run_dir = str(tmp_path_factory.mktemp("run"))
+    cfg = write_config(run_dir, BASE_CONFIG)
+    orc_cfg = write_config(run_dir, {"oracle": {"grid_points": 48, "walkers": 200}},
+                           "orc.json")
+    assert main(["simulate", "--config", cfg, "--out", run_dir]) == EXIT_OK
+    assert main(["oracle", "--config", orc_cfg, "--out", run_dir]) == EXIT_OK
+    return run_dir
+
+
+class TestCompareProvenance:
+    @pytest.mark.parametrize("model,integrator,differ", [
+        ({"N": 6}, {"temperature": 0.9}, "model and integrator"),
+        ({}, {"temperature": 0.9}, "integrator"),
+        ({"mu": 2.0}, {}, "model"),
+    ])
+    def test_config_of_another_run_usage_exit(self, compared_run, tmp_path, capsys,
+                                               model, integrator, differ):
+        # t_scaled and nu_pred must be those of the run, not of any config given.
+        other = write_config(tmp_path, {
+            **BASE_CONFIG, "model": {**BASE_CONFIG["model"], **model},
+            "integrator": {**BASE_CONFIG["integrator"], **integrator}})
+        out = os.path.join(tmp_path, "cmp")
+        rc = main(["compare", "--config", other, "--out", out,
+                   os.path.join(compared_run, "record_000.csv"),
+                   os.path.join(compared_run, "oracle_psi.csv")])
+        assert rc == EXIT_USAGE
+        manifest = os.path.join(compared_run, "manifest.json")
+        assert capsys.readouterr().err == (
+            f"config error: compare: {other} and the run's {manifest} differ in {differ}\n")
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("manifest,reason", [
+        (None, "No such file or directory"),
+        ('{"config": {"integrator": {"noise_mode": "stacked"}}}',
+         "integrator.noise_mode: unknown key"),
+    ])
+    def test_record_without_run_manifest_usage_exit(self, compared_run, tmp_path, capsys,
+                                                    manifest, reason):
+        lone = os.path.join(tmp_path, "lone")
+        os.makedirs(lone)
+        record = os.path.join(lone, "record_000.csv")
+        with open(record, "w") as fh:
+            fh.write(read(os.path.join(compared_run, "record_000.csv")))
+        path = os.path.join(lone, "manifest.json")
+        if manifest is not None:
+            with open(path, "w") as fh:
+                fh.write(manifest)
+        out = os.path.join(tmp_path, "cmp")
+        rc = main(["compare", "--config", os.path.join(compared_run, "cfg.json"), "--out", out,
+                   record, os.path.join(compared_run, "oracle_psi.csv")])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {path}: {reason}")
+        assert err.count("\n") == 1
+        assert not os.path.exists(out)
 
 
 class TestCalibrate:
@@ -624,17 +685,20 @@ def test_unwritable_out_io_exit(tmp_path, capsys, command):
         "oracle": {"grid_points": 48, "walkers": 200},
         "sweep": {"N_list": [3], "replicas": 1, "burn_in_steps": 10, "steps": 50,
                   "record_every": 5}})
-    inputs = {
-        os.path.join(tmp_path, "record.csv"): "time,lam_0_0,lam_0_1,lam_0_2\n0,0.5,-0.2,0.1\n",
-        os.path.join(tmp_path, "psi.csv"): "x,re_psi,im_psi\n0,1,0\n0.1,1,0\n",
-    }
-    for path, text in inputs.items():
-        with open(path, "w") as fh:
-            fh.write(text)
     blocker = os.path.join(tmp_path, "blocker")
     open(blocker, "w").close()
     argv = [command, "--config", cfg, "--out", os.path.join(blocker, "out")]
     if command == "compare":
+        # The record goes beside the manifest of a run of cfg, which compare checks.
+        run_dir = os.path.join(tmp_path, "run")
+        assert main(["simulate", "--config", cfg, "--out", run_dir]) == EXIT_OK
+        inputs = {
+            os.path.join(run_dir, "record.csv"): "time,lam_0_0,lam_0_1,lam_0_2\n0,0.5,-0.2,0.1\n",
+            os.path.join(tmp_path, "psi.csv"): "x,re_psi,im_psi\n0,1,0\n0.1,1,0\n",
+        }
+        for path, text in inputs.items():
+            with open(path, "w") as fh:
+                fh.write(text)
         argv += list(inputs)
     assert main(argv) == EXIT_IO
     err = capsys.readouterr().err

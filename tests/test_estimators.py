@@ -382,6 +382,13 @@ class TestDiffusion:
         assert est.nu_hat > 0
         assert np.isnan(est.stderr)
 
+    def test_single_path_rejected(self):
+        # The drift correction would subtract the path's own displacement and
+        # leave nu_hat = 0.
+        trajs = brownian_trajectories(0.1, 1, 60, 0.1, 17)
+        with pytest.raises(ValueError, match="R \\* N = 1 paths"):
+            estimate_diffusion(trajs, (5, 50))
+
 
 class TestFormulaLayer:
     def test_scaled_temperature_examples(self):

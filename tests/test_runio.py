@@ -5,12 +5,14 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from matrixqm.core import ModelParams, random_config
-from matrixqm.dynamics import IntegratorConfig, run
+from matrixqm.dynamics import IntegratorConfig, TrajectoryRecord, run
 from matrixqm.estimators import SweepSettings
+from matrixqm.oracle import WaveFunction
 from matrixqm.runio import (
     ConfigError,
     ExperimentConfig,
@@ -221,6 +223,85 @@ class TestCsv:
         x2, psi2 = load_wavefunction_csv(wavefunction_to_csv(wf))
         assert np.array_equal(x2, wf.x)
         assert np.array_equal(psi2, wf.psi)
+
+
+# Finite float64 values, the edge cases always among the candidates: signed
+# zeros, subnormals, and magnitudes near 1e-300 and 1e+300 up to the largest.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310, 1e-300,
+               -1.0000000000000001e-300, 1e300, -9.999999999999999e299,
+               1.7976931348623157e308, -1.7976931348623157e308]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+def floats_array(shape):
+    return hnp.arrays(np.float64, shape, elements=FLOATS)
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a, np.float64).view(np.int64),
+                          np.asarray(b, np.float64).view(np.int64))
+
+
+@st.composite
+def records(draw):
+    n, d, N = draw(st.integers(1, 6)), draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    frames = {}
+    if draw(st.booleans()):
+        frames = {"positions": draw(floats_array((n, N, d))),
+                  "residuals": draw(floats_array(n)),
+                  "converged": draw(hnp.arrays(bool, n)),
+                  "sweeps": draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1000)))}
+    times = np.sort(draw(hnp.arrays(np.float64, n, elements=FLOATS, unique=True)))
+    return TrajectoryRecord(times=times, spectra=draw(floats_array((n, d, N))),
+                            energies=draw(floats_array((n, 2))),
+                            com_momenta=draw(floats_array((n, d))), **frames)
+
+
+@settings(max_examples=200, deadline=None)
+@given(records())
+def test_record_round_trip_bitwise(rec):
+    cols = load_record_csv(record_to_csv(rec))
+    n, d, N = rec.spectra.shape
+    assert same_bits(cols["time"], rec.times)
+    assert same_bits(cols["K"], rec.energies[:, 0]) and same_bits(cols["U"], rec.energies[:, 1])
+    for a in range(d):
+        assert same_bits(cols[f"p_{a}"], rec.com_momenta[:, a])
+        for i in range(N):
+            assert same_bits(cols[f"lam_{a}_{i}"], rec.spectra[:, a, i])
+    if rec.positions is None:
+        assert len(cols) == 3 + d + d * N
+        return
+    assert len(cols) == 3 + d + 2 * d * N + 3
+    for i in range(N):
+        for a in range(d):
+            assert same_bits(cols[f"pos_{i}_{a}"], rec.positions[:, i, a])
+    assert same_bits(cols["jd_residual"], rec.residuals)
+    assert np.array_equal(cols["jd_converged"], rec.converged)
+    assert np.array_equal(cols["jd_sweeps"], rec.sweeps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 40), start=st.integers(-50, 50),
+       h=st.one_of(st.sampled_from([5e-324, 1e-310, 1e-300, 1e300]),
+                   st.floats(min_value=5e-324, max_value=1e300)),
+       data=st.data())
+def test_wavefunction_round_trip_bitwise(n, start, h, data):
+    # A uniform grid start*h, ..., (start + n - 1)*h of any spacing h.
+    x = np.arange(start, start + n) * h
+    psi = np.empty(n, complex)  # re + 1j * im would turn a real -0.0 into 0.0
+    psi.real, psi.imag = data.draw(floats_array(n)), data.draw(floats_array(n))
+    assume(psi.any())
+    x2, psi2 = load_wavefunction_csv(wavefunction_to_csv(WaveFunction(x, psi, 1.0, 1.0)))
+    assert same_bits(x2, x)
+    assert same_bits(psi2.real, psi.real) and same_bits(psi2.imag, psi.imag)
+
+
+def test_non_uniform_oracle_grid_rejected():
+    x = np.array([0.0, 0.1, 0.3])
+    text = wavefunction_to_csv(WaveFunction(x, np.ones(3, complex), 1.0, 1.0))
+    with pytest.raises(ValueError, match="the grid is not uniform and increasing"):
+        load_wavefunction_csv(text)
 
 
 class TestAtomicWrite:
