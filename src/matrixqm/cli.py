@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -78,7 +77,6 @@ def _load_config(args):
 
 
 def cmd_simulate(cfg, args) -> dict:
-    t0 = time.monotonic()
     seeds = [
         {"replica": r,
          "init": replica_seed(cfg.ensemble.master_seed, r, "init"),
@@ -90,14 +88,13 @@ def cmd_simulate(cfg, args) -> dict:
     artifacts = {f"record_{r:03d}.csv": record_to_csv(record)
                  for r, record in enumerate(records)}
     tol = frame_position_tol(cfg.model, cfg.integrator) if cfg.integrator.record_frames else None
-    artifacts["manifest.json"] = build_manifest(cfg, seeds, time.monotonic() - t0, tol)
+    artifacts["manifest.json"] = build_manifest(cfg, seeds, tol)
     return artifacts
 
 
 def cmd_sweep(cfg, args) -> dict:
     if cfg.model.d < 2:
         raise ConfigError("sweep: scaling formulas require model.d >= 2 (singular at d = 1)")
-    t0 = time.monotonic()
     results = scaling_sweep(cfg.model, cfg.sweep, cfg.ensemble.master_seed)
     points = [point for point, _, _ in results]
     seeds = [{"N": point.N, "replica": r, **seed}
@@ -105,7 +102,7 @@ def cmd_sweep(cfg, args) -> dict:
     tols = {str(point.N): tol for point, _, tol in results}
     return {
         "sweep.csv": sweep_to_csv(points, cfg.model.pair_sum),
-        "sweep_manifest.json": build_manifest(cfg, seeds, time.monotonic() - t0, tols),
+        "sweep_manifest.json": build_manifest(cfg, seeds, tols),
     }
 
 
@@ -179,9 +176,8 @@ def cmd_oracle(cfg, args) -> dict:
     return {"oracle_report.json": report, "oracle_psi.csv": wavefunction_to_csv(snaps[-1])}
 
 
-def _trajectory_samples(text: str) -> tuple[np.ndarray, dict]:
-    """Final-time scalar samples + diagnostics from a record CSV."""
-    columns = load_record_csv(text)
+def _trajectory_samples(columns: dict) -> tuple[np.ndarray, dict]:
+    """Final-time scalar samples + diagnostics from a record's columns."""
     diag = {}
     pos_cols = sorted(c for c in columns if c.startswith("pos_"))
     lam_cols = sorted(c for c in columns if c.startswith("lam_"))
@@ -203,9 +199,11 @@ def _parse_input(path: str, parse, data):
         raise InputError(f"{path}: {e}") from e
 
 
-def _check_run_config(cfg, args):
+def _check_run_config(cfg, args, columns):
     """ConfigError unless --config has the model and integrator of the run
-    that wrote the trajectory, as the manifest.json beside it states."""
+    that wrote the trajectory, as the manifest.json beside it states;
+    InputError unless the trajectory's columns and rows are those that run
+    writes."""
     path = os.path.join(os.path.dirname(args.trajectory), "manifest.json")
     try:
         with open(path) as fh:
@@ -217,6 +215,18 @@ def _check_run_config(cfg, args):
     if differ:
         raise ConfigError(f"compare: {args.config} and the run's {path} differ in "
                           + " and ".join(differ))
+    d, N, integ = run_cfg.model.d, run_cfg.model.N, run_cfg.integrator
+    want = {"lam_": {f"lam_{a}_{i}" for a in range(d) for i in range(N)},
+            "pos_": {f"pos_{i}_{a}" for i in range(N) for a in range(d)}
+            if integ.record_frames else set()}
+    for prefix, names in want.items():
+        if {c for c in columns if c.startswith(prefix)} != names:
+            raise InputError(f"{args.trajectory}: its {prefix} columns are not those of "
+                             f"its run (d = {d}, N = {N}, record_frames = "
+                             f"{str(integ.record_frames).lower()})")
+    rows, run_rows = len(next(iter(columns.values()))), integ.steps // integ.record_every + 1
+    if rows != run_rows:
+        raise InputError(f"{args.trajectory}: {rows} data rows, its run recorded {run_rows}")
 
 
 def cmd_compare(cfg, args) -> dict:
@@ -225,14 +235,15 @@ def cmd_compare(cfg, args) -> dict:
     with open(args.oracle_file) as fh:
         oracle_text = fh.read()
     x, psi = _parse_input(args.oracle_file, load_wavefunction_csv, oracle_text)
-    samples, diag = _parse_input(args.trajectory, _trajectory_samples, traj_text)
+    columns = _parse_input(args.trajectory, load_record_csv, traj_text)
+    samples, diag = _parse_input(args.trajectory, _trajectory_samples, columns)
 
     h = x[1] - x[0]
     rho_oracle = np.abs(psi) ** 2
     rho_oracle = rho_oracle / (rho_oracle.sum() * h)
     bw = silverman_bandwidth(samples)
     rho_m = _parse_input(args.trajectory, lambda s: walker_density(s, x, bw), samples)
-    _check_run_config(cfg, args)
+    _check_run_config(cfg, args, columns)
     verdict = {
         "L1": compare_densities(rho_m, rho_oracle, "L1", h),
         "KS": compare_densities(rho_m, rho_oracle, "KS", h),

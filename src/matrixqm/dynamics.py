@@ -32,8 +32,10 @@ from .core import (
 MICROCANONICAL = "microcanonical"
 LANGEVIN = "langevin"
 
-# A recorded Langevin frame's particle positions are resolved to this fraction
-# of the free thermal displacement per record interval (frame_position_tol).
+# A recorded Langevin frame stops when its next update would shift no position
+# by more than this fraction of the free thermal displacement per record
+# interval (frame_position_tol).  That bounds the next shift only: positions
+# have landed up to 8.6 such tolerances from the strict angle rule's.
 FRAME_DISPLACEMENT_FRACTION = 1e-3
 
 
@@ -115,7 +117,7 @@ class TrajectoryRecord:
                 self.positions, self.residuals, self.converged, self.sweeps)
         if any(a is not None and len(a) != n for a in rows):
             raise ValueError("record arrays must share a common length")
-        if np.any(np.diff(self.times) <= 0):
+        if np.any(self.times[1:] <= self.times[:-1]):  # np.diff overflows near the float limit
             raise ValueError("times must be strictly increasing")
 
 

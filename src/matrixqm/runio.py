@@ -161,17 +161,15 @@ def conventions(cfg: ExperimentConfig) -> dict:
     }
 
 
-def build_manifest(cfg: ExperimentConfig, per_replica_seeds: list, wall_clock: float,
-                   position_tol=None) -> dict:
-    """The config echo, seeds and conventions of a run.  Given the
-    position_tol of its Jacobi frames (dynamics.frame_position_tol's value,
-    or a dict N -> value for a sweep), the manifest also states their
-    stopping rule as jacobi_stopping."""
+def build_manifest(cfg: ExperimentConfig, per_replica_seeds: list, position_tol=None) -> dict:
+    """The config echo, seeds and conventions of a run, all functions of its
+    config (no clock).  Given the position_tol of its Jacobi frames
+    (dynamics.frame_position_tol's value, or a dict N -> value for a sweep),
+    the manifest also states their stopping rule as jacobi_stopping."""
     manifest = {
         "config": dataclasses.asdict(cfg),
         "code_version": __version__,
         "per_replica_seeds": per_replica_seeds,
-        "wall_clock_seconds": wall_clock,
         "conventions": conventions(cfg),
     }
     if position_tol is not None:

@@ -21,6 +21,13 @@ BASE_CONFIG = {
                    "temperature": 0.3, "record_every": 4, "record_frames": True},
     "ensemble": {"replicas": 2, "master_seed": 77, "spread": 0.4},
 }
+SMALL_ORACLE = {"grid_points": 48, "walkers": 200}
+SWEEP_CONFIG = {
+    "model": {"d": 2, "N": 4},
+    "sweep": {"t_scaled": 0.1, "N_list": [3, 4], "replicas": 2, "burn_in_steps": 20,
+              "steps": 50, "dt": 0.02, "gamma": 0.5, "record_every": 5, "spread": 0.3},
+    "ensemble": {"master_seed": 12},
+}
 
 
 def fresh_env():
@@ -59,18 +66,6 @@ class TestSimulate:
         assert manifest["config"]["ensemble"]["master_seed"] == 77
         assert len(manifest["per_replica_seeds"]) == 2
         assert "conventions" in manifest
-
-    def test_manifest_reexecution_byte_identical(self, tmp_path):
-        cfg = write_config(tmp_path, BASE_CONFIG)
-        out1 = os.path.join(tmp_path, "o1")
-        out2 = os.path.join(tmp_path, "o2")
-        assert main(["simulate", "--config", cfg, "--out", out1]) == EXIT_OK
-        manifest = os.path.join(out1, "manifest.json")
-        assert main(["simulate", "--config", manifest, "--out", out2]) == EXIT_OK
-        for name in ("record_000.csv", "record_001.csv"):
-            a = read(os.path.join(out1, name), "rb")
-            b = read(os.path.join(out2, name), "rb")
-            assert a == b
 
     def test_seed_changes_output(self, tmp_path):
         out1 = os.path.join(tmp_path, "s1")
@@ -151,34 +146,6 @@ class TestSimulate:
 
     def test_usage_error_on_unknown_command(self):
         assert main(["frobnicate"]) == EXIT_USAGE
-
-    def test_d1_manifest_reexecution_byte_identical(self, tmp_path):
-        cfg = write_config(tmp_path, {"model": {"d": 1, "N": 3}})
-        out1 = os.path.join(tmp_path, "o1")
-        out2 = os.path.join(tmp_path, "o2")
-        assert main(["simulate", "--config", cfg, "--out", out1]) == EXIT_OK
-        manifest = os.path.join(out1, "manifest.json")
-        assert main(["simulate", "--config", manifest, "--out", out2]) == EXIT_OK
-        a = read(os.path.join(out1, "record_000.csv"), "rb")
-        b = read(os.path.join(out2, "record_000.csv"), "rb")
-        assert a == b
-
-    def test_manifest_reexecution_byte_identical_at_n20(self, tmp_path):
-        # N = 20 is one of the sizes (N = 1-4 mod 8, N >= 17) where the
-        # force's bits depend on the BLAS; a re-run on the same host must
-        # still reproduce every record.
-        doc = {**BASE_CONFIG, "model": {**BASE_CONFIG["model"], "N": 20},
-               "integrator": {**BASE_CONFIG["integrator"], "steps": 20}}
-        cfg = write_config(tmp_path, doc)
-        out1 = os.path.join(tmp_path, "o1")
-        out2 = os.path.join(tmp_path, "o2")
-        assert main(["simulate", "--config", cfg, "--out", out1]) == EXIT_OK
-        manifest = os.path.join(out1, "manifest.json")
-        assert main(["simulate", "--config", manifest, "--out", out2]) == EXIT_OK
-        for name in ("record_000.csv", "record_001.csv"):
-            a = read(os.path.join(out1, name), "rb")
-            b = read(os.path.join(out2, name), "rb")
-            assert a == b
 
 
 # (command, section, key, value): values rejected by the runtime type's own
@@ -350,37 +317,19 @@ class TestSweep:
         rule = load_json(os.path.join(out, "manifest.json"))["jacobi_stopping"]
         assert rule["position_tol"] == pytest.approx(1e-3 * np.sqrt(0.3 * 0.04 / 0.5), rel=1e-12)
 
-    def test_manifest_reexecution_byte_identical(self, tmp_path):
-        doc = {
-            "model": {"d": 2, "N": 4},
-            "sweep": {"t_scaled": 0.1, "N_list": [3, 4], "replicas": 2,
-                      "burn_in_steps": 20, "steps": 50, "dt": 0.02,
-                      "gamma": 0.5, "record_every": 5, "spread": 0.3},
-            "ensemble": {"master_seed": 12},
-        }
-        cfg = write_config(tmp_path, doc)
-        out1 = os.path.join(tmp_path, "s1")
-        out2 = os.path.join(tmp_path, "s2")
-        assert main(["sweep", "--config", cfg, "--out", out1]) == EXIT_OK
-        manifest_path = os.path.join(out1, "sweep_manifest.json")
-        seeds = load_json(manifest_path)["per_replica_seeds"]
+    def test_manifest_lists_seeds_of_every_point(self, tmp_path):
+        assert main(["sweep", "--config", write_config(tmp_path, SWEEP_CONFIG),
+                     "--out", str(tmp_path)]) == EXIT_OK
+        seeds = load_json(os.path.join(tmp_path, "sweep_manifest.json"))["per_replica_seeds"]
         assert [(s["N"], s["replica"]) for s in seeds] == [(3, 0), (3, 1), (4, 0), (4, 1)]
         assert all(set(s) == {"N", "replica", "init", "burn", "run"} for s in seeds)
         assert len({s[k] for s in seeds for k in ("init", "burn", "run")}) == 12
-        assert main(["sweep", "--config", manifest_path, "--out", out2]) == EXIT_OK
-        a = read(os.path.join(out1, "sweep.csv"), "rb")
-        b = read(os.path.join(out2, "sweep.csv"), "rb")
-        assert a == b
 
     def test_point_independent_of_rest_of_n_list(self, tmp_path):
         # Each sweep point seeds its runs from (master_seed, N, replica) alone.
         outputs = {}
         for n_list in ([4], [3, 4]):
-            doc = {"model": {"d": 2, "N": 4},
-                   "sweep": {"t_scaled": 0.1, "N_list": n_list, "replicas": 2,
-                             "burn_in_steps": 20, "steps": 50, "dt": 0.02,
-                             "gamma": 0.5, "record_every": 5, "spread": 0.3},
-                   "ensemble": {"master_seed": 12}}
+            doc = {**SWEEP_CONFIG, "sweep": {**SWEEP_CONFIG["sweep"], "N_list": n_list}}
             cfg = write_config(tmp_path, doc, f"cfg{len(n_list)}.json")
             out = os.path.join(tmp_path, f"sw{len(n_list)}")
             assert main(["sweep", "--config", cfg, "--out", out]) == EXIT_OK
@@ -459,7 +408,7 @@ class TestOracle:
 
 def test_reports_state_kde_bandwidth_and_cell(tmp_path):
     cfg = write_config(tmp_path, BASE_CONFIG)
-    orc_cfg = write_config(tmp_path, {"oracle": {"grid_points": 48, "walkers": 200}},
+    orc_cfg = write_config(tmp_path, {"oracle": SMALL_ORACLE},
                            "orc.json")
     out = os.path.join(tmp_path, "out")
     main(["simulate", "--config", cfg, "--out", out])
@@ -579,7 +528,7 @@ class TestCompare:
         cfg = write_config(tmp_path, BASE_CONFIG)
         out = os.path.join(tmp_path, "cmp")
         main(["simulate", "--config", cfg, "--out", out])
-        orc_cfg = write_config(tmp_path, {"oracle": {"grid_points": 48, "walkers": 200}},
+        orc_cfg = write_config(tmp_path, {"oracle": SMALL_ORACLE},
                                "orc.json")
         main(["oracle", "--config", orc_cfg, "--out", out])
         record = os.path.join(out, "record_000.csv")
@@ -607,7 +556,7 @@ def compared_run(tmp_path_factory):
     and manifest) and an oracle_psi.csv."""
     run_dir = str(tmp_path_factory.mktemp("run"))
     cfg = write_config(run_dir, BASE_CONFIG)
-    orc_cfg = write_config(run_dir, {"oracle": {"grid_points": 48, "walkers": 200}},
+    orc_cfg = write_config(run_dir, {"oracle": SMALL_ORACLE},
                            "orc.json")
     assert main(["simulate", "--config", cfg, "--out", run_dir]) == EXIT_OK
     assert main(["oracle", "--config", orc_cfg, "--out", run_dir]) == EXIT_OK
@@ -661,6 +610,76 @@ class TestCompareProvenance:
         assert err.count("\n") == 1
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("record,reason", [
+        ("three_columns", "its lam_ columns are not those of its run "
+                          "(d = 2, N = 4, record_frames = true)"),
+        ("n6_run", "its lam_ columns are not those of its run "
+                   "(d = 2, N = 4, record_frames = true)"),
+        ("ten_rows", "10 data rows, its run recorded 51"),
+    ], ids=["three_columns", "n6_run", "ten_rows"])
+    def test_record_of_another_shape_usage_exit(self, compared_run, tmp_path, capsys,
+                                                record, reason):
+        # Only a record of the shape its run writes is attributed to that run.
+        if record == "three_columns":
+            text = "time,lam_0_0,lam_0_1,lam_0_2\n0,0.5,-0.2,0.1\n"
+        elif record == "n6_run":
+            cfg6 = write_config(tmp_path, {**BASE_CONFIG, "model": {**BASE_CONFIG["model"],
+                                                                    "N": 6}})
+            assert main(["simulate", "--config", cfg6, "--out", str(tmp_path / "n6")]) == EXIT_OK
+            text = read(os.path.join(tmp_path, "n6", "record_000.csv"))
+        else:
+            text = "".join(read(os.path.join(compared_run, "record_000.csv"))
+                           .splitlines(keepends=True)[:11])
+        lone = os.path.join(tmp_path, "lone")
+        os.makedirs(lone)
+        with open(os.path.join(lone, "manifest.json"), "w") as fh:
+            fh.write(read(os.path.join(compared_run, "manifest.json")))
+        path = os.path.join(lone, "record.csv")
+        with open(path, "w") as fh:
+            fh.write(text)
+        out = os.path.join(tmp_path, "cmp")
+        rc = main(["compare", "--config", os.path.join(compared_run, "cfg.json"), "--out", out,
+                   path, os.path.join(compared_run, "oracle_psi.csv")])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == f"input error: {path}: {reason}\n"
+        assert not os.path.exists(out)
+
+
+# id: (command, config).  Each command runs twice; simulate and sweep re-run
+# from the first run's manifest, the others from the same config.  N = 20 is
+# one of the sizes (N = 1-4 mod 8, N >= 17) where the force's bits depend on
+# the BLAS; a re-run on the same host must still reproduce them.
+RERUNS = {
+    "simulate-base": ("simulate", BASE_CONFIG),
+    "simulate-d1": ("simulate", {"model": {"d": 1, "N": 3}}),
+    "simulate-n20": ("simulate", {**BASE_CONFIG, "model": {**BASE_CONFIG["model"], "N": 20},
+                                  "integrator": {**BASE_CONFIG["integrator"], "steps": 20}}),
+    "sweep": ("sweep", SWEEP_CONFIG),
+    "oracle": ("oracle", {"oracle": SMALL_ORACLE}),
+    "compare": ("compare", {**BASE_CONFIG, "oracle": SMALL_ORACLE}),
+    "calibrate": ("calibrate", BASE_CONFIG),
+}
+
+
+@pytest.mark.parametrize("command,doc", RERUNS.values(), ids=RERUNS.keys())
+def test_rerun_reproduces_every_file(tmp_path, command, doc):
+    cfg = write_config(tmp_path, doc)
+    inputs = []
+    if command == "compare":
+        for step in ("simulate", "oracle"):
+            assert main([step, "--config", cfg, "--out", str(tmp_path / "run")]) == EXIT_OK
+        inputs = [str(tmp_path / "run" / name) for name in ("record_000.csv", "oracle_psi.csv")]
+    outs = [str(tmp_path / "o1"), str(tmp_path / "o2")]
+    assert main([command, "--config", cfg, "--out", outs[0], *inputs]) == EXIT_OK
+    manifest = {"simulate": "manifest.json", "sweep": "sweep_manifest.json"}.get(command)
+    again = os.path.join(outs[0], manifest) if manifest else cfg
+    assert main([command, "--config", again, "--out", outs[1], *inputs]) == EXIT_OK
+    names = sorted(os.listdir(outs[0]))
+    assert names == sorted(os.listdir(outs[1]))
+    for name in names:
+        assert read(os.path.join(outs[0], name), "rb") == read(
+            os.path.join(outs[1], name), "rb"), name
+
 
 class TestCalibrate:
     def test_synthetic_suite(self, tmp_path):
@@ -682,18 +701,18 @@ def test_unwritable_out_io_exit(tmp_path, capsys, command):
     cfg = write_config(tmp_path, {
         **BASE_CONFIG,
         "integrator": {**BASE_CONFIG["integrator"], "steps": 20},
-        "oracle": {"grid_points": 48, "walkers": 200},
+        "oracle": SMALL_ORACLE,
         "sweep": {"N_list": [3], "replicas": 1, "burn_in_steps": 10, "steps": 50,
                   "record_every": 5}})
     blocker = os.path.join(tmp_path, "blocker")
     open(blocker, "w").close()
     argv = [command, "--config", cfg, "--out", os.path.join(blocker, "out")]
     if command == "compare":
-        # The record goes beside the manifest of a run of cfg, which compare checks.
+        # A copy of a record of cfg's run, beside its manifest, which compare checks.
         run_dir = os.path.join(tmp_path, "run")
         assert main(["simulate", "--config", cfg, "--out", run_dir]) == EXIT_OK
         inputs = {
-            os.path.join(run_dir, "record.csv"): "time,lam_0_0,lam_0_1,lam_0_2\n0,0.5,-0.2,0.1\n",
+            os.path.join(run_dir, "record.csv"): read(os.path.join(run_dir, "record_000.csv")),
             os.path.join(tmp_path, "psi.csv"): "x,re_psi,im_psi\n0,1,0\n0.1,1,0\n",
         }
         for path, text in inputs.items():
@@ -728,7 +747,7 @@ def test_no_command_loads_scipy(tmp_path):
     out = str(tmp_path / "out")
     sim = write_config(tmp_path, {**BASE_CONFIG, "integrator": {
         **BASE_CONFIG["integrator"], "steps": 20}}, "sim.json")
-    orc = write_config(tmp_path, {"oracle": {"grid_points": 48, "walkers": 200}}, "orc.json")
+    orc = write_config(tmp_path, {"oracle": SMALL_ORACLE}, "orc.json")
     swp = write_config(tmp_path, {"sweep": {
         "N_list": [3], "replicas": 1, "burn_in_steps": 10, "steps": 50, "record_every": 5}},
         "swp.json")
@@ -784,7 +803,7 @@ def test_tracer_runs_every_command(tmp_path):
     out = str(tmp_path / "out")
     sim = write_config(tmp_path, {**BASE_CONFIG, "integrator": {
         **BASE_CONFIG["integrator"], "steps": 20}}, "sim.json")
-    orc = write_config(tmp_path, {"oracle": {"grid_points": 48, "walkers": 200}}, "orc.json")
+    orc = write_config(tmp_path, {"oracle": SMALL_ORACLE}, "orc.json")
     swp = write_config(tmp_path, {"sweep": {
         "N_list": [3], "replicas": 2, "burn_in_steps": 10, "steps": 50, "record_every": 5}},
         "swp.json")

@@ -1,6 +1,8 @@
 """Integrator tests: reversibility, conservation, thermostat statistics,
 and the run/record plumbing."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -221,6 +223,24 @@ class TestRunPlumbing:
 
     def test_no_replicas_no_records(self):
         assert run([], ModelParams(d=2, N=3), IntegratorConfig(steps=10)) == []
+
+    @staticmethod
+    def record_at(times):
+        n = len(times)
+        return TrajectoryRecord(times=np.array(times), spectra=np.zeros((n, 1, 2)),
+                                energies=np.zeros((n, 2)), com_momenta=np.zeros((n, 1)))
+
+    def test_times_at_float_limits_accepted(self):
+        # Their difference overflows; the order check must not compute it.
+        big = np.finfo(float).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(self.record_at([-big, big]).times) == 2
+
+    @pytest.mark.parametrize("times", [[0.0, 0.0], [1.0, 0.5]])
+    def test_times_not_increasing_rejected(self, times):
+        with pytest.raises(ValueError, match="^times must be strictly increasing$"):
+            self.record_at(times)
 
 
 class TestEquilibration:

@@ -73,12 +73,12 @@ class TestParse:
         cfg = parse_config('{"model": {"d": 3, "kappa": 0.2}, '
                            '"ensemble": {"replicas": 4, "master_seed": 99}}')
         # As main writes a manifest.
-        text = json.dumps(build_manifest(cfg, [], 0.0), indent=2, sort_keys=True)
+        text = json.dumps(build_manifest(cfg, []), indent=2, sort_keys=True)
         assert parse_config(text) == cfg
 
     def test_manifest_reexecution(self):
         cfg = parse_config('{"model": {"d": 3}}')
-        manifest = build_manifest(cfg, [1, 2, 3], 0.0)
+        manifest = build_manifest(cfg, [1, 2, 3])
         cfg2 = parse_config(json.dumps(manifest))
         assert cfg2 == cfg
 
@@ -144,7 +144,7 @@ VALID_DOCS = _section(
 @given(VALID_DOCS)
 def test_valid_documents_round_trip(doc):
     cfg = parse_config(json.dumps(doc))
-    manifest = build_manifest(cfg, [], 0.0)
+    manifest = build_manifest(cfg, [])
     assert parse_config(json.dumps(manifest)) == cfg
     assert {name: sorted(sec) for name, sec in manifest["config"].items()} == CONFIG_KEYS
 
