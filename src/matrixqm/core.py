@@ -311,14 +311,19 @@ def joint_diagonalize(
     rotation, within about 1e-6 of its converged value, relatively.  Both
     tests read only the current matrices, so a warm start from a frame that
     met them runs no iteration.  After max_sweeps iterations it stops with converged False.
-    Returns the diagonal values as N points in R^d, sorted lexicographically,
-    with the attained off-diagonal norm as a commutativity quality score.
+    Returns the diagonal values as N points in R^d, with the attained
+    off-diagonal norm as a commutativity quality score.
 
-    A warm start (initial_frame) speeds up tracking along a trajectory.
+    A cold start (initial_frame None) sorts the points lexicographically and
+    flips one row of O if needed, so that det O = +1.  A warm start from
+    initial_frame keeps its rows in that frame's order: row i of O continues
+    row i of initial_frame, which is how a trajectory carries each particle's
+    identity from frame to frame.  The Cayley updates keep det O, so a warm
+    start needs no sign fix.
     """
     N = config.N
     if initial_frame is not None:
-        O = initial_frame
+        O = initial_frame.copy()  # the returned frame never aliases the caller's
         A = O @ config.X @ O.T
     else:
         O = np.eye(N)
@@ -354,11 +359,12 @@ def joint_diagonalize(
     offdiag = A - positions.T[:, :, None] * eye
     residual = float(np.sqrt(np.sum(offdiag * offdiag)))
 
-    order = np.lexsort(positions.T[::-1])  # lexicographic by (x_1, x_2, ...)
-    positions = positions[order]
-    O = O[order, :]
-    if np.linalg.det(O) < 0:
-        O[0, :] = -O[0, :]  # eigenvector sign flip, positions unaffected
+    if initial_frame is None:
+        order = np.lexsort(positions.T[::-1])  # lexicographic by (x_1, x_2, ...)
+        positions = positions[order]
+        O = O[order, :]
+        if np.linalg.det(O) < 0:
+            O[0, :] = -O[0, :]  # eigenvector sign flip, positions unaffected
     return ParticleFrame(positions=positions, residual=residual, frame=O,
                          converged=converged, sweeps=sweeps)
 

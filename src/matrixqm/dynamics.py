@@ -96,25 +96,29 @@ class TrajectoryRecord:
 
     With record_frames, each state's joint diagonalization (see
     core.joint_diagonalize) is kept as arrays: its particle positions
-    (n, N, d), off-diagonal residual (n,), convergence flag (n,) and Jacobi
-    iteration count (n,).  Without, all four are None.  The diagonalizing
-    frames themselves are gauge and are not kept.
+    (n, N, d), off-diagonal residual (n,), convergence flag (n,), Jacobi
+    iteration count (n,) and smallest row overlap with the previous state's
+    frame (n,), min_i |sum_j O_k[i, j] O_(k-1)[i, j]|, the cosine of the
+    largest angle through which a row turned (nan at the first state, whose
+    frame has no predecessor).  Without, all five are None.  The
+    diagonalizing frames themselves are gauge and are not kept.
     """
 
     times: np.ndarray
     spectra: np.ndarray  # (n, d, N), ascending per direction
     energies: np.ndarray  # (n, 2): columns K, U
     com_momenta: np.ndarray  # (n, d)
-    positions: np.ndarray | None = None  # (n, N, d), sorted lexicographically per state
+    positions: np.ndarray | None = None  # (n, N, d), particle i in row i of every state
     residuals: np.ndarray | None = None  # (n,)
     converged: np.ndarray | None = None  # (n,) bool
     sweeps: np.ndarray | None = None  # (n,) int
+    overlaps: np.ndarray | None = None  # (n,), nan at the first state
     final_config: MatrixConfiguration | None = None  # for chaining runs; not serialized
 
     def __post_init__(self):
         n = len(self.times)
         rows = (self.spectra, self.energies, self.com_momenta,
-                self.positions, self.residuals, self.converged, self.sweeps)
+                self.positions, self.residuals, self.converged, self.sweeps, self.overlaps)
         if any(a is not None and len(a) != n for a in rows):
             raise ValueError("record arrays must share a common length")
         if np.any(self.times[1:] <= self.times[:-1]):  # np.diff overflows near the float limit
@@ -256,7 +260,9 @@ def run(
     once, stacked over replicas, and each replica's record holds its slices.
     A replica's joint diagonalization warm-starts from the frame of its own
     previous recorded state, the only frame kept, and stops at
-    frame_position_tol(params, integ) as well as at its angle floor.
+    frame_position_tol(params, integ) as well as at its angle floor.  Only
+    the first state is a cold start, so particle i is row i of the first
+    state's lexicographic order in every record of the run.
     """
     seeds = [0] * len(configs) if seeds is None else list(seeds)
     if len(seeds) != len(configs):
@@ -269,7 +275,8 @@ def run(
               "energies": np.empty((R, n, 2)), "com_momenta": np.empty((R, n, d))}
     if integ.record_frames:
         stacks.update(positions=np.empty((R, n, N, d)), residuals=np.empty((R, n)),
-                      converged=np.empty((R, n), dtype=bool), sweeps=np.empty((R, n), dtype=int))
+                      converged=np.empty((R, n), dtype=bool), sweeps=np.empty((R, n), dtype=int),
+                      overlaps=np.empty((R, n)))
     warm = [None] * R  # each replica's last Jacobi frame
     position_tol = frame_position_tol(params, integ)
 
@@ -286,6 +293,8 @@ def run(
             stacks["com_momenta"][r, k] = com_momentum(cfg, params)
             if integ.record_frames:
                 fr = joint_diagonalize(cfg, initial_frame=warm[r], position_tol=position_tol)
+                stacks["overlaps"][r, k] = np.nan if warm[r] is None else np.min(
+                    np.abs(np.einsum("ij,ij->i", fr.frame, warm[r])))
                 warm[r] = fr.frame
                 stacks["positions"][r, k] = fr.positions
                 stacks["residuals"][r, k] = fr.residual

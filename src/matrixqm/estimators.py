@@ -1,11 +1,12 @@
 """Statistics of eigenvalue trajectories: velocity fields, diffusion, scaling.
 
-Everything here operates on ensembles of identity-matched particle
-trajectories extracted from matrix runs (or on synthetic paths, which is
-how each estimator is calibrated).  The scaling-formula layer implements
-the dimensionless temperature t = N*T / (8(d-1)*mu*omega^2), the predicted
-eigenvalue diffusion constant nu = omega*d*t^(3/2) / (4(d-1)^(3/2)), and
-the emergent Planck constant hbar = mu*nu.
+Everything here operates on ensembles of particle trajectories, extracted
+from matrix runs (each particle carried by its row of the Jacobi frame) or
+synthetic, which is how each estimator is calibrated.  The scaling-formula
+layer implements the dimensionless temperature t = N*T / (8(d-1)*mu*omega^2),
+the predicted eigenvalue diffusion constant
+nu = omega*d*t^(3/2) / (4(d-1)^(3/2)), and the emergent Planck constant
+hbar = mu*nu.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from .dynamics import LANGEVIN, IntegratorConfig, NumericsError, frame_position_
 
 @dataclass
 class EigenTrajectory:
-    """Identity-matched particle positions of an ensemble on one time axis.
+    """Particle trajectories of an ensemble on one time axis.
 
     times has shape (T,) and positions (R, T, N, d): replica r's particle i
     at times[k] is positions[r, k, i].  ambiguous (R, T) flags the frames
-    whose step in was an ambiguous match (see track_particles; False at
+    whose step in turned the frame far (see track_particles; False at
     frame 0).  For synthetic data it defaults to all False.
     """
 
@@ -84,7 +85,6 @@ class FieldEstimate:
     grid: Grid
     v: np.ndarray | None = None  # shape (ndim, *grid.shape)
     mask: np.ndarray | None = None  # True on usable (occupied) cells
-    v_stderr: np.ndarray | None = None  # kernel-regression pointwise error, like v
 
 
 @dataclass
@@ -102,10 +102,9 @@ class ScalingPoint:
     nu_stderr: float
     nu_pred: float
     hbar_emergent: float
-    irrot_residual: float = 0.0
     mean_frame_residual: float = 0.0
     nonconverged_frames: int = 0  # Jacobi frames that hit max_sweeps, over all replicas
-    ambiguous_steps: int = 0  # ambiguous tracking steps (see track_particles), over all replicas
+    ambiguous_steps: int = 0  # steps that turned a frame row far (track_particles), all replicas
     mean_frame_sweeps: float = 0.0  # all-pairs Jacobi iterations per frame
 
 
@@ -113,98 +112,29 @@ class ScalingPoint:
 # particle tracking
 
 
-def _assign(cost: np.ndarray) -> np.ndarray:
-    """Columns p of the (n, n) cost matrix minimizing sum_i cost[i, p(i)].
-
-    When each row's minimum is strict and the rows' argmins form a
-    permutation, that permutation is the unique optimum: the sum of the row
-    minima bounds every assignment from below, and any other one leaves some
-    row above its minimum.  Tracking costs are close to the identity, so
-    this is the usual case.  Otherwise _hungarian solves it.
-    """
-    n = len(cost)
-    cols = np.argmin(cost, axis=1)
-    at_min = cost <= cost[np.arange(n), cols][:, None]
-    if np.all(np.bincount(cols, minlength=n) == 1) and np.all(at_min.sum(axis=1) == 1):
-        return cols
-    return _hungarian(cost)
+# A step is flagged when some frame row turned through more than
+# arccos(TRACK_MIN_OVERLAP), about 26 degrees.
+TRACK_MIN_OVERLAP = 0.9
 
 
-def _hungarian(cost: np.ndarray) -> np.ndarray:
-    """_assign by shortest augmenting paths with row and column potentials
-    (the Hungarian method in the form of Jonker & Volgenant, Computing 38,
-    1987).  Each row is added by a Dijkstra search over the columns, one
-    vectorized step per column it settles; tracking costs are close to the
-    identity, so most rows reach a free column in one step.
-    """
-    n = len(cost)
-    u, v = np.zeros(n), np.zeros(n)  # row and column potentials
-    row_of = np.full(n, -1)  # row assigned to each column
-    col_of = np.full(n, -1)  # column assigned to each row
-    for start in range(n):
-        dist = np.full(n, np.inf)  # reduced length of the shortest path to each column
-        via = np.zeros(n, dtype=int)  # the row before each column on that path
-        settled = np.zeros(n, dtype=bool)
-        rows = [start]
-        i, base = start, 0.0
-        while True:
-            reach = base + cost[i] - u[i] - v
-            better = ~settled & (reach < dist)
-            dist[better] = reach[better]
-            via[better] = i
-            j = int(np.argmin(np.where(settled, np.inf, dist)))
-            base = dist[j]
-            settled[j] = True
-            if row_of[j] < 0:
-                break
-            i = row_of[j]
-            rows.append(i)
-        u[start] += base
-        u[rows[1:]] += base - dist[col_of[rows[1:]]]
-        v[settled] -= base - dist[settled]
-        while True:  # augment along the path back to start
-            i = via[j]
-            row_of[j] = i
-            col_of[i], j = j, col_of[i]
-            if i == start:
-                break
-    return col_of
-
-
-def _match(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
-    """Permutation p minimizing sum |prev_i - cur_{p(i)}|^2."""
-    return _assign(np.sum((prev[:, None, :] - cur[None, :, :]) ** 2, axis=2))
-
-
-def track_particles(positions: np.ndarray, times) -> EigenTrajectory:
-    """Chain frame-to-frame minimum-displacement assignments into trajectories.
+def track_particles(positions: np.ndarray, times, overlaps: np.ndarray) -> EigenTrajectory:
+    """The ensemble's particle trajectories, with their doubtful steps flagged.
 
     positions (R, T, N, d) holds each replica's particle positions at each
-    entry of times, in the order of joint diagonalization (sorted per frame,
-    so row i need not be the same particle in two frames).  A step is flagged
-    ambiguous when some particle's matched displacement exceeds half the
-    distance to its nearest neighbour in the previous frame: there the
-    minimum-displacement match may have swapped identities.
+    entry of times in track order: row i is the same particle in every frame,
+    as run() records them, each frame's Jacobi warm-started from the last.
+    overlaps (R, T) holds each frame's smallest row overlap with the frame
+    before (TrajectoryRecord.overlaps).  A step is flagged ambiguous when
+    that overlap is below TRACK_MIN_OVERLAP: there a row of the frame turned
+    far, and the particle it carries may have become another one.  A nan
+    overlap (a frame without predecessor) is never flagged.
     """
     if positions.ndim != 4 or 0 in positions.shape[:2]:
         raise ValueError("no frames: positions must have shape (R, T, N, d) with R, T >= 1")
     if not np.isfinite(positions).all():
         raise ValueError("positions must be finite")
-    n = positions.shape[2]
-    tracks, ambiguous = [], []
-    for replica in positions:
-        out = [replica[0]]
-        for cur in replica[1:]:
-            out.append(cur[_match(out[-1], cur)])
-        # One replica at a time: the (R, T, N, N, d) pair differences of
-        # the whole ensemble would dwarf its positions.
-        pos = np.stack(out)
-        step = np.linalg.norm(pos[1:] - pos[:-1], axis=2)  # (T-1, N)
-        gap = np.linalg.norm(pos[:-1, :, None] - pos[:-1, None, :], axis=3)
-        gap[:, np.arange(n), np.arange(n)] = np.inf
-        ambiguous.append(np.concatenate([[False], np.any(step > 0.5 * gap.min(axis=2), axis=1)]))
-        tracks.append(pos)
-    return EigenTrajectory(times=times, positions=np.stack(tracks), ambiguous=np.stack(ambiguous))
+    return EigenTrajectory(times=times, positions=positions,
+                           ambiguous=overlaps < TRACK_MIN_OVERLAP)
 
 
 # ---------------------------------------------------------------------------
@@ -263,24 +193,12 @@ def estimate_current_velocity(
     wsum = w.sum(axis=1)
     mask = wsum > CURRENT_VELOCITY_MIN_WEIGHT * wsum.max()
     safe = np.where(mask, wsum, 1.0)
-    n_eff = wsum**2 / np.maximum((w**2).sum(axis=1), 1e-300)
     v = np.zeros((grid.ndim,) + grid.shape)
-    v_stderr = np.zeros_like(v)
     for a in range(grid.ndim):
         mean = (w @ vel[:, a]) / safe
-        second = (w @ vel[:, a] ** 2) / safe
-        var = np.maximum(second - mean**2, 0.0)
-        stderr = np.sqrt(var / np.maximum(n_eff, 1.0))
         mean[~mask] = 0.0
-        stderr[~mask] = 0.0
         v[a] = mean.reshape(grid.shape)
-        v_stderr[a] = stderr.reshape(grid.shape)
-    return FieldEstimate(
-        grid=grid,
-        v=v,
-        mask=mask.reshape(grid.shape),
-        v_stderr=v_stderr,
-    )
+    return FieldEstimate(grid=grid, v=v, mask=mask.reshape(grid.shape))
 
 
 def _interior(v_field: FieldEstimate) -> np.ndarray:
@@ -427,10 +345,6 @@ def emergent_hbar(params: ModelParams, nu_lambda: float) -> float:
 # scaling sweep
 
 
-# Irrotationality diagnostic grid: points per axis.
-IRROT_GRID_POINTS = 24
-
-
 @dataclass
 class SweepSettings:
     """The fixed-t line (t_scaled, N_list) and the Langevin runs at each point."""
@@ -514,29 +428,15 @@ def sweep_point(base_params: ModelParams, settings: SweepSettings, N: int,
                       [seed["run"] for seed in seeds])
     except NumericsError as e:
         raise e.within(f"sweep N={N}, {phase} run") from None
-    positions, residuals, converged, sweeps = (
+    positions, residuals, converged, sweeps, overlaps = (
         np.stack([getattr(rec, name) for rec in records])
-        for name in ("positions", "residuals", "converged", "sweeps"))
+        for name in ("positions", "residuals", "converged", "sweeps", "overlaps"))
     # Every replica records at the same times (the runs share t0 and dt).
-    traj = track_particles(positions, records[0].times)
+    traj = track_particles(positions, records[0].times, overlaps)
     # Remove the per-frame collective (trace-mode) motion.
     traj.positions = traj.positions - traj.positions.mean(axis=2, keepdims=True)
 
     est = estimate_diffusion(traj, (5, 50))
-
-    # Irrotationality diagnostic at mid-run on a d-dimensional grid.
-    # SweepSettings guarantees >= 11 records, so the middle one has
-    # neighbours at lag 1.
-    mid_t = traj.times[len(traj.times) // 2]
-    all_pos = traj.positions.reshape(-1, params.d)
-    lo = np.percentile(all_pos, 5, axis=0)
-    hi = np.percentile(all_pos, 95, axis=0)
-    grid = Grid(axes=tuple(
-        np.linspace(lo[a], hi[a], IRROT_GRID_POINTS) for a in range(params.d)
-    ))
-    bw = silverman_bandwidth(all_pos[:, 0])
-    irrot = irrotationality_residual(estimate_current_velocity(traj, mid_t, grid, bw, lag=1))
-
     point = ScalingPoint(
         N=N,
         T=measure.temperature,
@@ -545,7 +445,6 @@ def sweep_point(base_params: ModelParams, settings: SweepSettings, N: int,
         nu_stderr=est.stderr,
         nu_pred=predicted_diffusion(params, s.t_scaled),
         hbar_emergent=emergent_hbar(params, est.nu_hat),
-        irrot_residual=irrot,
         # Means over replicas of per-replica means.
         mean_frame_residual=float(residuals.mean(axis=1).mean()),
         nonconverged_frames=int(np.sum(~converged)),

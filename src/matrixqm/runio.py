@@ -235,7 +235,8 @@ def record_to_csv(record: TrajectoryRecord) -> str:
     """Fixed column order: time, K, U, momenta, per-direction eigenvalues,
     then (if frames were recorded) particle positions, the frame residual,
     whether its Jacobi iteration converged (1) or hit its iteration cap (0),
-    and its number of Jacobi iterations."""
+    its number of Jacobi iterations and its smallest row overlap with the
+    previous frame (nan at the first record)."""
     n, d, N = record.spectra.shape
     cols = (["time", "K", "U"] + [f"p_{a}" for a in range(d)]
             + [f"lam_{a}_{i}" for a in range(d) for i in range(N)])
@@ -243,9 +244,9 @@ def record_to_csv(record: TrajectoryRecord) -> str:
               record.spectra.reshape(n, -1)]
     if record.positions is not None:
         cols += [f"pos_{i}_{a}" for i in range(N) for a in range(d)]
-        cols += ["jd_residual", "jd_converged", "jd_sweeps"]
+        cols += ["jd_residual", "jd_converged", "jd_sweeps", "jd_overlap"]
         blocks += [record.positions.reshape(n, -1), record.residuals[:, None],
-                   record.converged[:, None], record.sweeps[:, None]]
+                   record.converged[:, None], record.sweeps[:, None], record.overlaps[:, None]]
     return _table(cols, np.hstack(blocks))
 
 

@@ -533,10 +533,10 @@ class TestCompare:
         main(["oracle", "--config", orc_cfg, "--out", out])
         record = os.path.join(out, "record_000.csv")
         rows = [ln.split(",") for ln in read(record).splitlines()]
-        assert rows[0][-3:] == ["jd_residual", "jd_converged", "jd_sweeps"]
-        # Older records end before jd_sweeps, or before jd_converged.
+        assert rows[0][-4:] == ["jd_residual", "jd_converged", "jd_sweeps", "jd_overlap"]
+        # Older records end before jd_overlap, jd_sweeps or jd_converged.
         trajs = [record]
-        for drop in (1, 2):  # beside the run's manifest, which compare checks
+        for drop in (1, 2, 3):  # beside the run's manifest, which compare checks
             old = os.path.join(out, f"old_record_{drop}.csv")
             with open(old, "w") as fh:
                 fh.write("".join(",".join(r[:-drop]) + "\n" for r in rows))
@@ -547,7 +547,7 @@ class TestCompare:
             assert main(["compare", "--config", cfg, "--out", sub,
                          traj, os.path.join(out, "oracle_psi.csv")]) == EXIT_OK
             verdicts.append(read(os.path.join(sub, "compare_verdict.json")))
-        assert verdicts[0] == verdicts[1] == verdicts[2]
+        assert all(v == verdicts[0] for v in verdicts)
 
 
 @pytest.fixture(scope="module")
@@ -726,10 +726,11 @@ def test_unwritable_out_io_exit(tmp_path, capsys, command):
 
 
 # No command may load scipy: the runtime needs only numpy, and importing scipy
-# costs more than most commands' own work.  Runs in a fresh interpreter, since
-# this one has already imported scipy.
+# costs more than most commands' own work.  Runs in a fresh interpreter, where
+# nothing else has imported matrixqm or scipy.  The last entry imports scipy
+# itself, which shows that the check sees it when it is loaded.
 SCIPY_GUARD = """
-import json, sys
+import importlib, json, sys
 from matrixqm.cli import main
 
 def scipy_modules():
@@ -739,11 +740,15 @@ loaded = {"import": scipy_modules()}
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
     loaded[argv[0]] = scipy_modules()
+importlib.import_module("scipy.stats")
+loaded["scipy.stats"] = scipy_modules()
 print(json.dumps(loaded))
 """
 
 
 def test_no_command_loads_scipy(tmp_path):
+    if importlib.util.find_spec("scipy") is None:
+        pytest.skip("scipy is not installed, so no command could load it")
     out = str(tmp_path / "out")
     sim = write_config(tmp_path, {**BASE_CONFIG, "integrator": {
         **BASE_CONFIG["integrator"], "steps": 20}}, "sim.json")
@@ -765,6 +770,7 @@ def test_no_command_loads_scipy(tmp_path):
     loaded = json.loads(proc.stdout)
     for step in ("import", "simulate", "oracle", "compare", "calibrate", "sweep"):
         assert loaded[step] == [], step
+    assert "scipy.stats" in loaded["scipy.stats"]
 
 
 # The benchmark's tracer rebinds named functions of every matrixqm module and
@@ -813,6 +819,7 @@ def test_tracer_runs_every_command(tmp_path):
         ["oracle", "--config", orc, "--out", out],
         ["compare", "--config", sim, "--out", out,
          os.path.join(out, "record_000.csv"), os.path.join(out, "oracle_psi.csv")],
+        ["calibrate", "--config", sim, "--out", out],
     ]
     seen = set()
     for argv in argvs:

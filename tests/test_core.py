@@ -444,6 +444,19 @@ class TestJacobiStoppingRule:
         capped = joint_diagonalize(thermal_frame(), max_sweeps=1)
         assert capped.sweeps == 1 and not capped.converged
 
+    def test_warm_start_keeps_the_frame_row_order(self):
+        # A frame that meets the stop rules in any row order runs no
+        # iteration, and its rows come back in the order they went in, in
+        # an array of their own.
+        cfg = thermal_frame()
+        cold = joint_diagonalize(cfg)
+        perm = np.random.default_rng(4).permutation(cfg.N)
+        start = cold.frame[perm]
+        warm = joint_diagonalize(cfg, initial_frame=start)
+        assert warm.converged and warm.sweeps == 0
+        assert np.array_equal(warm.frame, start) and not np.shares_memory(warm.frame, start)
+        assert np.max(np.abs(warm.positions - cold.positions[perm])) < 1e-12
+
     def test_warm_start_from_position_rule_frame_runs_no_iteration(self):
         cfg = thermal_frame()
         cold = joint_diagonalize(cfg, position_tol=1e-4)
@@ -493,6 +506,21 @@ class TestJointDiagonalizationProperties:
         permuted = MatrixConfiguration(X=P @ cfg.X @ P.T, V=np.zeros_like(cfg.X))
         for other in (rotated, permuted):
             assert np.max(np.abs(joint_diagonalize(other).positions - ref)) < 1e-6
+
+    @settings(max_examples=50, deadline=None)
+    @given(JD_CASES)
+    def test_warm_start_keeps_row_order(self, case):
+        # Restarted from its own frame with the rows permuted (det -1 for an
+        # odd permutation), a converged frame runs no iteration and keeps
+        # the permuted order and determinant.
+        N, d, seed = case
+        cfg, _, rng = near_commuting(N, d, seed, eps=0.05)
+        cold = joint_diagonalize(cfg)
+        perm = rng.permutation(N)
+        warm = joint_diagonalize(cfg, initial_frame=cold.frame[perm])
+        assert warm.converged and warm.sweeps == 0
+        assert np.array_equal(warm.frame, cold.frame[perm])
+        assert np.max(np.abs(warm.positions - cold.positions[perm])) < 1e-12
 
     @settings(max_examples=50, deadline=None)
     @given(JD_CASES)

@@ -188,6 +188,8 @@ class TestRunPlumbing:
         assert rec.com_momenta.shape == (11, 2)
         assert rec.positions.shape == (11, 3, 2)
         assert rec.residuals.shape == rec.converged.shape == rec.sweeps.shape == (11,)
+        assert rec.overlaps.shape == (11,)
+        assert np.isnan(rec.overlaps[0]) and np.all(rec.overlaps[1:] <= 1.0 + 1e-12)
         assert rec.times[0] == 0.0
         assert rec.times[-1] == pytest.approx(1.0)
         assert rec.final_config.time == pytest.approx(1.0)
@@ -423,7 +425,8 @@ class TestWarmStart:
     def test_frames_chain_from_own_previous_frame(self, mode, monkeypatch):
         # Each recorded state is diagonalized from the frame of the same
         # replica's previous state.  Rebuild both chains by hand from the
-        # configurations run() diagonalized and compare every frame array.
+        # configurations run() diagonalized and compare every frame array,
+        # the overlap with the diagonal of O_k O_(k-1)^T.
         seen = spy_joint_diagonalize(monkeypatch)
         p = ModelParams(d=2, N=5)
         integ = integrator(mode, dt=0.01, steps=12, record_every=2, record_frames=True)
@@ -438,6 +441,11 @@ class TestWarmStart:
                 assert np.array_equal(bits(eigenvalues(cfg)), bits(rec.spectra[k]))
                 fr = joint_diagonalize(cfg, initial_frame=frame,
                                        position_tol=frame_position_tol(p, integ))
+                if frame is None:
+                    assert np.isnan(rec.overlaps[k])
+                else:
+                    overlap = np.min(np.abs(np.diag(fr.frame @ frame.T)))
+                    assert rec.overlaps[k] == pytest.approx(overlap, abs=1e-14)
                 frame = fr.frame
                 assert np.array_equal(bits(rec.positions[k]), bits(fr.positions))
                 assert np.array_equal(bits(rec.residuals[k]), bits(np.float64(fr.residual)))

@@ -1,6 +1,7 @@
 """Quantum-oracle tests: Schrodinger propagation, Madelung decomposition,
 and the stochastic (walker) representation of the same dynamics."""
 
+import math
 import warnings
 
 import numpy as np
@@ -324,8 +325,7 @@ class TestComparisons:
         h = g[1] - g[0]
         r1 = np.exp(-g**2 / 2) / np.sqrt(2 * np.pi)
         r2 = np.exp(-(g - 0.1) ** 2 / 2) / np.sqrt(2 * np.pi)
-        from scipy.stats import norm
-        expect = 2 * norm.cdf(0.05) - 1
+        expect = math.erf(0.05 / math.sqrt(2))  # 2 Phi(x) - 1 = erf(x / sqrt 2)
         assert compare_densities(r1, r2, "KS", h) == pytest.approx(expect, abs=1e-3)
 
     def test_walker_density_normalized(self):

@@ -187,11 +187,13 @@ class TestCsv:
             ["time", "K", "U", "p_0", "p_1"]
             + [f"lam_{a}_{i}" for a in range(2) for i in range(3)]
             + [f"pos_{i}_{a}" for i in range(3) for a in range(2)]
-            + ["jd_residual", "jd_converged", "jd_sweeps"])
+            + ["jd_residual", "jd_converged", "jd_sweeps", "jd_overlap"])
         cols = load_record_csv(text)
         assert np.all(cols["jd_residual"] >= 0)
         assert np.array_equal(cols["jd_converged"], [float(c) for c in rec.converged])
         assert np.array_equal(cols["jd_sweeps"], [float(s) for s in rec.sweeps])
+        assert np.isnan(cols["jd_overlap"][0])
+        assert np.array_equal(cols["jd_overlap"][1:], rec.overlaps[1:])
 
     def test_no_frame_columns_without_frames(self):
         header = record_to_csv(self.make_record()).splitlines()[0].split(",")
@@ -211,7 +213,7 @@ class TestCsv:
     def test_sweep_csv_header(self):
         text = sweep_to_csv([], "unordered_pairs")
         assert text.splitlines()[0] == (
-            "N,T,t_scaled,nu_hat,nu_stderr,nu_pred,hbar_emergent,irrot_residual,"
+            "N,T,t_scaled,nu_hat,nu_stderr,nu_pred,hbar_emergent,"
             "mean_frame_residual,nonconverged_frames,ambiguous_steps,mean_frame_sweeps,pair_sum,"
             "nu_convention"
         )
@@ -251,7 +253,9 @@ def records(draw):
         frames = {"positions": draw(floats_array((n, N, d))),
                   "residuals": draw(floats_array(n)),
                   "converged": draw(hnp.arrays(bool, n)),
-                  "sweeps": draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1000)))}
+                  "sweeps": draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1000))),
+                  "overlaps": draw(hnp.arrays(np.float64, n, elements=st.one_of(
+                      st.just(np.nan), st.floats(0.0, 1.0))))}
     times = np.sort(draw(hnp.arrays(np.float64, n, elements=FLOATS, unique=True)))
     return TrajectoryRecord(times=times, spectra=draw(floats_array((n, d, N))),
                             energies=draw(floats_array((n, 2))),
@@ -272,13 +276,14 @@ def test_record_round_trip_bitwise(rec):
     if rec.positions is None:
         assert len(cols) == 3 + d + d * N
         return
-    assert len(cols) == 3 + d + 2 * d * N + 3
+    assert len(cols) == 3 + d + 2 * d * N + 4
     for i in range(N):
         for a in range(d):
             assert same_bits(cols[f"pos_{i}_{a}"], rec.positions[:, i, a])
     assert same_bits(cols["jd_residual"], rec.residuals)
     assert np.array_equal(cols["jd_converged"], rec.converged)
     assert np.array_equal(cols["jd_sweeps"], rec.sweeps)
+    assert same_bits(cols["jd_overlap"], rec.overlaps)
 
 
 @settings(max_examples=200, deadline=None)
