@@ -184,6 +184,32 @@ class TestTracking:
         trajs = track_particles(np.zeros((1, 5, 3, 1)), np.arange(5.0), overlaps)
         assert trajs.ambiguous.tolist() == [[False, True, False, True, False]]
 
+    def test_ambiguous_steps_flag_a_jump_past_a_neighbour(self):
+        # Particles at x = 0, 1, 3.  In the second frame the one at 0 jumps
+        # to 1.2, past its neighbour, which moves to 0.9; the third frame
+        # moves every particle by 0.05.  Cold-started frames sort their rows
+        # by position, so rows 0 and 1 trade particles at that jump: their
+        # eigenvectors turn through 90 degrees and only that step is flagged.
+        paths = np.array([[0.0, 1.0, 3.0], [1.2, 0.9, 3.0], [1.25, 0.95, 3.05]])[:, :, None]
+        frames = [joint_diagonalize(cfg) for cfg in drifting_family(paths, 4, drift=0.0)]
+        overlaps = [np.nan] + [np.min(np.abs(np.diag(b.frame @ a.frame.T)))
+                               for a, b in zip(frames, frames[1:])]
+        positions = np.array([fr.positions for fr in frames])
+        trajs = track_particles(positions[None], np.arange(3.0), np.array([overlaps]))
+        assert trajs.ambiguous.tolist() == [[False, True, False]]
+        assert np.allclose(trajs.positions[0, 1, :, 0], [0.9, 1.2, 3.0], atol=1e-10)
+
+    def test_no_ambiguous_steps_for_small_moves(self):
+        # Twelve particles jitter by 1e-3 while the frame turns slowly: the
+        # warm-started rows barely turn, so no step is flagged.
+        rng = np.random.default_rng(12)
+        base = np.sort(rng.uniform(0, 10, size=(12, 2)), axis=0)
+        paths = np.stack([base + 1e-3 * rng.normal(size=base.shape) for _ in range(5)])
+        positions, overlaps = frame_chain(drifting_family(paths, 12))
+        trajs = track_particles(positions[None], np.arange(5.0), overlaps[None])
+        assert np.all(overlaps[1:] >= TRACK_MIN_OVERLAP)
+        assert not trajs.ambiguous.any()
+
     def test_replicas_tracked_independently(self):
         # Each replica of an ensemble is tracked as it would be alone.
         rng = np.random.default_rng(13)
