@@ -335,22 +335,24 @@ def joint_diagonalize(
     sweeps = 0
     while True:
         K = _pair_angles(A)
-        if np.max(np.abs(K)) <= JACOBI_ANGLE_TOL:
+        if np.abs(K).max() <= JACOBI_ANGLE_TOL:
             converged = True
             break
         if position_tol > 0:
             # Half the first-order shift of each diagonal entry A_a,pp.
             shift = np.add.reduce(K * A, axis=2)
-            diag = np.diagonal(A, axis1=1, axis2=2)
-            drop = 4.0 * float(np.sum(diag * shift))  # of the squared off-diagonal norm
-            off2 = norm2 - float(np.sum(diag * diag))
-            if (2.0 * np.max(np.abs(shift)) <= position_tol
-                    and abs(drop) <= POSITION_RULE_RESIDUAL_DROP * off2):
-                converged = True
-                break
+            if 2.0 * np.abs(shift).max() <= position_tol:
+                diag = np.diagonal(A, axis1=1, axis2=2)
+                drop = 4.0 * float(np.sum(diag * shift))  # of the squared off-diagonal norm
+                off2 = norm2 - float(np.sum(diag * diag))
+                if abs(drop) <= POSITION_RULE_RESIDUAL_DROP * off2:
+                    converged = True
+                    break
         if sweeps == max_sweeps:
             break
-        G = np.linalg.solve(eye - 0.5 * K, eye + 0.5 * K)
+        # K is exactly antisymmetric, so M.T is I + K/2 bit for bit.
+        M = eye - 0.5 * K
+        G = np.linalg.solve(M, M.T)
         A = G @ A @ G.T
         O = G @ O
         sweeps += 1

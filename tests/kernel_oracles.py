@@ -5,12 +5,20 @@ Each one is written the obvious way, one configuration at a time:
 * loop_force: the force as a loop over direction pairs, six products per pair;
 * reference_noise: the O-step noise from two rng.normal calls per step;
 * reference_run: out-of-place velocity-Verlet or BAOAB steps on those two,
-  returning the (time, X, V) of every recorded step.
+  returning the (time, X, V) of every recorded step;
+* reference_joint_diagonalize: the all-pairs Jacobi with its whole stop test
+  evaluated every iteration and the Cayley update solved against I + K/2;
+* reference_silverman_bandwidth: the bandwidth with its IQR from np.percentile.
 """
 
 import numpy as np
 
-from matrixqm.core import UNORDERED
+from matrixqm.core import (
+    JACOBI_ANGLE_TOL,
+    POSITION_RULE_RESIDUAL_DROP,
+    UNORDERED,
+    ParticleFrame,
+)
 from matrixqm.dynamics import MICROCANONICAL
 
 
@@ -88,3 +96,77 @@ def reference_run(config, params, integ, seed):
         if step % integ.record_every == 0:
             snapshots.append((config.time + step * integ.dt, X, V))
     return snapshots, (config.time + integ.steps * integ.dt, X, V)
+
+
+def reference_pair_angles(A):
+    """The antisymmetric matrix K of every pair's Cardoso-Souloumiac angle,
+    K_pq = theta_pq for p < q, from one snapshot of A (d, N, N)."""
+    diag = np.diagonal(A, axis1=1, axis2=2)
+    ton = diag[:, :, None] - diag[:, None, :]
+    toff = 2.0 * A
+    g11 = np.add.reduce(ton * ton, axis=0)
+    g12 = np.add.reduce(ton * toff, axis=0)
+    g22 = np.add.reduce(toff * toff, axis=0)
+    diff, two12 = g11 - g22, 2.0 * g12
+    K = np.triu(0.5 * np.arctan2(two12, diff + np.hypot(diff, two12)), 1)
+    return K - K.T
+
+
+def reference_joint_diagonalize(config, max_sweeps=1000, initial_frame=None,
+                                position_tol=0.0):
+    """joint_diagonalize as first written: every term of the position rule is
+    computed each iteration before either bound is tested, and each update
+    G solves (I - K/2) G = I + K/2."""
+    N = config.N
+    if initial_frame is not None:
+        O = initial_frame.copy()
+        A = O @ config.X @ O.T
+    else:
+        O = np.eye(N)
+        A = config.X
+    eye = np.eye(N)
+    norm2 = float(np.sum(A * A))
+    converged = False
+    sweeps = 0
+    while True:
+        K = reference_pair_angles(A)
+        if np.max(np.abs(K)) <= JACOBI_ANGLE_TOL:
+            converged = True
+            break
+        if position_tol > 0:
+            shift = np.add.reduce(K * A, axis=2)
+            diag = np.diagonal(A, axis1=1, axis2=2)
+            drop = 4.0 * float(np.sum(diag * shift))
+            off2 = norm2 - float(np.sum(diag * diag))
+            if (2.0 * np.max(np.abs(shift)) <= position_tol
+                    and abs(drop) <= POSITION_RULE_RESIDUAL_DROP * off2):
+                converged = True
+                break
+        if sweeps == max_sweeps:
+            break
+        G = np.linalg.solve(eye - 0.5 * K, eye + 0.5 * K)
+        A = G @ A @ G.T
+        O = G @ O
+        sweeps += 1
+
+    positions = np.diagonal(A, axis1=1, axis2=2).T.copy()
+    offdiag = A - positions.T[:, :, None] * eye
+    residual = float(np.sqrt(np.sum(offdiag * offdiag)))
+    if initial_frame is None:
+        order = np.lexsort(positions.T[::-1])
+        positions = positions[order]
+        O = O[order, :]
+        if np.linalg.det(O) < 0:
+            O[0, :] = -O[0, :]
+    return ParticleFrame(positions=positions, residual=residual, frame=O,
+                         converged=converged, sweeps=sweeps)
+
+
+def reference_silverman_bandwidth(samples):
+    """silverman_bandwidth with its IQR taken by np.percentile."""
+    samples = np.asarray(samples, dtype=float).ravel()
+    n = len(samples)
+    sigma = samples.std(ddof=1) if n > 1 else 1.0
+    iqr = np.subtract(*np.percentile(samples, [75, 25]))
+    scale = min(sigma, iqr / 1.34) if iqr > 0 else sigma
+    return 0.9 * max(scale, 1e-12) * n ** (-0.2)

@@ -725,30 +725,40 @@ def test_unwritable_out_io_exit(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
-# No command may load scipy: the runtime needs only numpy, and importing scipy
-# costs more than most commands' own work.  Runs in a fresh interpreter, where
-# nothing else has imported matrixqm or scipy.  The last entry imports scipy
-# itself, which shows that the check sees it when it is loaded.
-SCIPY_GUARD = """
+# No command may load scipy or numpy.ma: the runtime needs only numpy's core,
+# and importing either costs more memory and start-up time than most
+# commands' own work (np.percentile, for one, loads numpy.ma through
+# np.unique).  Runs in a fresh interpreter, where nothing else has imported
+# matrixqm, scipy or numpy.ma.  After the commands it imports numpy.ma, then
+# scipy.stats when scipy is installed, which shows that the check sees each
+# package when it is loaded.
+GUARDED = ("scipy", "numpy.ma")
+GUARD = """
 import importlib, json, sys
 from matrixqm.cli import main
 
-def scipy_modules():
-    return sorted(k for k in sys.modules if k.startswith("scipy"))
+def guarded_modules():
+    return {p: sorted(k for k in sys.modules if k == p or k.startswith(p + "."))
+            for p in %r}
 
-loaded = {"import": scipy_modules()}
-for argv in json.loads(sys.argv[1]):
+loaded = {"import": guarded_modules()}
+argvs, controls = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+for argv in argvs:
     assert main(argv) == 0, argv
-    loaded[argv[0]] = scipy_modules()
-importlib.import_module("scipy.stats")
-loaded["scipy.stats"] = scipy_modules()
+    loaded[argv[0]] = guarded_modules()
+for name in controls:
+    importlib.import_module(name)
+    loaded[name] = guarded_modules()
 print(json.dumps(loaded))
-"""
+""" % (GUARDED,)
+COMMANDS = ("simulate", "oracle", "compare", "calibrate", "sweep")
 
 
-def test_no_command_loads_scipy(tmp_path):
-    if importlib.util.find_spec("scipy") is None:
-        pytest.skip("scipy is not installed, so no command could load it")
+@pytest.fixture(scope="module")
+def guarded_loads(tmp_path_factory):
+    """{step: {package: its loaded modules}} after import, each command and
+    each control import, all in one fresh interpreter."""
+    tmp_path = tmp_path_factory.mktemp("guard")
     out = str(tmp_path / "out")
     sim = write_config(tmp_path, {**BASE_CONFIG, "integrator": {
         **BASE_CONFIG["integrator"], "steps": 20}}, "sim.json")
@@ -764,13 +774,27 @@ def test_no_command_loads_scipy(tmp_path):
         ["calibrate", "--config", sim, "--out", out],
         ["sweep", "--config", swp, "--out", out],
     ]
-    proc = subprocess.run([sys.executable, "-c", SCIPY_GUARD, json.dumps(argvs)],
+    controls = ["numpy.ma"]
+    if importlib.util.find_spec("scipy") is not None:
+        controls.append("scipy.stats")
+    proc = subprocess.run([sys.executable, "-c", GUARD, json.dumps(argvs), json.dumps(controls)],
                           env=fresh_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
-    for step in ("import", "simulate", "oracle", "compare", "calibrate", "sweep"):
-        assert loaded[step] == [], step
-    assert "scipy.stats" in loaded["scipy.stats"]
+    return json.loads(proc.stdout)
+
+
+def test_no_command_loads_scipy(guarded_loads):
+    if "scipy.stats" not in guarded_loads:
+        pytest.skip("scipy is not installed, so no command could load it")
+    for step in ("import", *COMMANDS, "numpy.ma"):
+        assert guarded_loads[step]["scipy"] == [], step
+    assert "scipy.stats" in guarded_loads["scipy.stats"]["scipy"]
+
+
+def test_no_command_loads_numpy_ma(guarded_loads):
+    for step in ("import", *COMMANDS):
+        assert guarded_loads[step]["numpy.ma"] == [], step
+    assert "numpy.ma" in guarded_loads["numpy.ma"]["numpy.ma"]
 
 
 # The benchmark's tracer rebinds named functions of every matrixqm module and

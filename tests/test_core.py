@@ -29,7 +29,7 @@ from matrixqm.core import (
 )
 from matrixqm.core import _stacked_force
 
-from kernel_oracles import loop_force
+from kernel_oracles import loop_force, reference_joint_diagonalize
 
 
 def fd_force(config, params, h=1e-6):
@@ -464,6 +464,56 @@ class TestJacobiStoppingRule:
         warm = joint_diagonalize(cfg, initial_frame=cold.frame, position_tol=1e-4)
         assert warm.converged and warm.sweeps == 0
         assert np.max(np.abs(warm.positions - cold.positions)) < 1e-12
+
+
+def thermal_path(N, seed, frames=6, steps=5):
+    """Successive d = 2 thermal configurations, steps Langevin steps apart."""
+    from matrixqm.dynamics import LANGEVIN, IntegratorConfig, run
+
+    p = ModelParams(d=2, N=N)
+    integ = IntegratorConfig(mode=LANGEVIN, dt=0.02, steps=steps, gamma=0.5,
+                             temperature=0.8 / N, record_every=steps)
+    path = [thermal_frame(N, seed)]
+    for k in range(frames - 1):
+        path.append(run([path[-1]], p, integ, [seed + k])[0].final_config)
+    return path
+
+
+def assert_same_frame(fr, ref):
+    for name in ("positions", "frame"):
+        assert np.array_equal(bits(getattr(fr, name)), bits(getattr(ref, name))), name
+    assert np.float64(fr.residual).tobytes() == np.float64(ref.residual).tobytes()
+    assert (fr.converged, fr.sweeps) == (ref.converged, ref.sweeps)
+
+
+class TestJacobiMatchesReference:
+    # joint_diagonalize tests the position rule's residual bound only once its
+    # shift bound holds, and solves its Cayley update against (I - K/2)^T; the
+    # reference evaluates the whole rule and solves against I + K/2.  Every
+    # ParticleFrame field must keep its bits.
+    # At position_tol 1e-3 the residual bound holds the stop back after the
+    # shift bound has passed, in some iteration of every one of these paths.
+    @pytest.mark.parametrize("N, seed", [(3, 1), (8, 3), (16, 5)])
+    @pytest.mark.parametrize("position_tol", [0.0, 1e-4, 1e-3])
+    def test_cold_then_warm_along_a_thermal_path(self, N, seed, position_tol):
+        frame = None
+        iterated = 0
+        for cfg in thermal_path(N, seed):
+            fr = joint_diagonalize(cfg, initial_frame=frame, position_tol=position_tol)
+            assert_same_frame(fr, reference_joint_diagonalize(
+                cfg, initial_frame=frame, position_tol=position_tol))
+            iterated += fr.sweeps > 0
+            frame = fr.frame
+        assert iterated >= 2
+
+    @pytest.mark.parametrize("position_tol", [0.0, 1e-4])
+    @pytest.mark.parametrize("max_sweeps", [0, 1, 3])
+    def test_capped_by_max_sweeps(self, position_tol, max_sweeps):
+        cfg = thermal_frame()
+        fr = joint_diagonalize(cfg, max_sweeps=max_sweeps, position_tol=position_tol)
+        assert not fr.converged and fr.sweeps == max_sweeps
+        assert_same_frame(fr, reference_joint_diagonalize(
+            cfg, max_sweeps=max_sweeps, position_tol=position_tol))
 
 
 # (N, d, seed), odd and even N.

@@ -4,8 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from matrixqm.core import (
     MatrixConfiguration,
     ModelParams,
@@ -30,6 +31,9 @@ from matrixqm.estimators import (
     temperature_for_scaled,
     track_particles,
 )
+from matrixqm.estimators import _iqr
+
+from kernel_oracles import reference_silverman_bandwidth
 
 
 def brownian_trajectories(nu, R, T, dt, seed, x0=None):
@@ -231,10 +235,61 @@ class TestTracking:
             track_particles(xs[None, :, :, None], np.arange(3.0), np.ones((1, 3)))
 
 
+# 1 to 300 samples: free floats (signed zeros among them), a few repeated
+# values with both zeros, or one constant.
+TIED = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5])
+FREE = st.floats(-1e3, 1e3, allow_nan=False)
+BANDWIDTH_SAMPLES = st.integers(1, 300).flatmap(lambda n: st.one_of(
+    arrays(float, n, elements=FREE),
+    arrays(float, n, elements=st.one_of(TIED, FREE)),
+    arrays(float, n, elements=TIED),
+    FREE.map(lambda x: np.full(n, x)),
+))
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
 class TestDensity:
     def test_silverman_positive(self):
         rng = np.random.default_rng(5)
         assert silverman_bandwidth(rng.normal(size=500)) > 0
+
+    # _iqr must keep np.percentile's bits, so that the bandwidth, and every
+    # artifact that uses it, is what np.percentile would give.  np.percentile
+    # stays the reference: a numpy release that changes its arithmetic fails
+    # here.
+    @settings(max_examples=400, deadline=None)
+    @given(BANDWIDTH_SAMPLES)
+    # The 75th percentile of three samples lies halfway between the upper
+    # two, where a + (b - a)/2 and b - (b - a)/2 differ in the last bit here.
+    @example(np.array([5.811181041963531e-08, -5.369532353602852e-05, -5.369532353602852e-05]))
+    def test_partition_iqr_matches_percentile(self, s):
+        assert same_bits(_iqr(s), np.subtract(*np.percentile(s, [75, 25])))
+        assert same_bits(silverman_bandwidth(s), reference_silverman_bandwidth(s))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([None, 0, 1, 2]))
+    def test_partition_iqr_matches_percentile_for_a_walker_ensemble(self, seed, decimals):
+        # The oracle's ensembles hold 20 000 walkers; rounding makes ties.
+        s = np.random.default_rng(seed).normal(size=20_000)
+        if decimals is not None:
+            s = np.round(s, decimals)
+        assert same_bits(_iqr(s), np.subtract(*np.percentile(s, [75, 25])))
+        assert same_bits(silverman_bandwidth(s), reference_silverman_bandwidth(s))
+
+    @settings(max_examples=100, deadline=None)
+    @given(BANDWIDTH_SAMPLES, st.data())
+    def test_nan_sample_gives_nan_bandwidth(self, s, data):
+        s = s.copy()
+        s[data.draw(st.integers(0, len(s) - 1))] = np.nan
+        assert np.isnan(_iqr(s)) and np.isnan(np.subtract(*np.percentile(s, [75, 25])))
+        bw, ref = silverman_bandwidth(s), reference_silverman_bandwidth(s)
+        if len(s) == 1:  # the spread of one sample is taken as 1, nan or not
+            assert bw == ref == 0.9
+        else:
+            assert np.isnan(bw) and np.isnan(ref)
 
 
 class TestCurrentVelocity:
