@@ -164,8 +164,11 @@ def _iqr(samples: np.ndarray) -> float:
 
 
 def silverman_bandwidth(samples: np.ndarray) -> float:
-    """Rule-of-thumb kernel width for roughly unimodal data."""
+    """Rule-of-thumb kernel width for roughly unimodal data; nan if a sample
+    is not finite.  The spread of one finite sample is taken as 1."""
     samples = np.asarray(samples, dtype=float).ravel()
+    if not np.isfinite(samples).all():
+        return np.nan
     n = len(samples)
     sigma = samples.std(ddof=1) if n > 1 else 1.0
     iqr = _iqr(samples)

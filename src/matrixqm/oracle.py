@@ -85,15 +85,23 @@ def gaussian_packet(x, x0, sigma0, p0, hbar, mass) -> WaveFunction:
     return wf.normalized()
 
 
+def hermite(n: int, xi: np.ndarray) -> np.ndarray:
+    """Physicists' Hermite polynomial H_n at xi by the upward recurrence
+    H_0 = 1, H_1 = 2 xi, H_{k+1} = 2 xi H_k - 2 k H_{k-1}; at n = 0 and 1 it
+    has numpy.polynomial.hermite.hermval's bits, without importing it."""
+    h0, h1 = np.ones_like(xi), 2.0 * xi
+    if n == 0:
+        return h0
+    for k in range(1, n):
+        h0, h1 = h1, 2.0 * xi * h1 - 2.0 * k * h0
+    return h1
+
+
 def harmonic_eigenstate(x, n, omega0, hbar, mass) -> WaveFunction:
     """n-th oscillator eigenstate of V = (1/2) mass omega0^2 x^2."""
-    from numpy.polynomial.hermite import hermval
-
     alpha = mass * omega0 / hbar
     xi = np.sqrt(alpha) * np.asarray(x, float)
-    coeffs = np.zeros(n + 1)
-    coeffs[n] = 1.0
-    psi = hermval(xi, coeffs) * np.exp(-0.5 * xi**2)
+    psi = hermite(n, xi) * np.exp(-0.5 * xi**2)
     wf = WaveFunction(np.asarray(x, float), psi.astype(complex), hbar, mass)
     return wf.normalized()
 
@@ -201,6 +209,12 @@ def grid_interp(x: np.ndarray, xp: np.ndarray, fp: np.ndarray, slope: np.ndarray
     return out
 
 
+# nelson_evolve and walker_density work through the walkers this many at a
+# time, so their temporaries scale with the block and the grid, not with the
+# ensemble.
+WALKER_BLOCK = 8192
+
+
 def nelson_evolve(
     ensemble: NelsonEnsemble,
     psi_series,
@@ -213,30 +227,41 @@ def nelson_evolve(
 
     psi_series supplies the drift: a single WaveFunction (frozen) or a list
     of them; the snapshot with time closest to the walker clock is used at
-    each step.  Walkers leaving the grid are reflected (counted).
+    each step, its drift built when the clock first reaches it.  Walkers
+    leaving the grid are reflected (counted).  Each step moves the walkers
+    WALKER_BLOCK at a time, drawing their noise in walker order, so the
+    result is the whole-ensemble step's bit for bit.
     """
     if isinstance(psi_series, WaveFunction):
         psi_series = [psi_series]
     snaps = sorted(psi_series, key=lambda wf: wf.time)
-    fields = [nelson_drift(wf, nu) for wf in snaps]
-    slopes = [np.diff(f.b) / np.diff(f.x) for f in fields]
-
     snap_times = np.array([wf.time for wf in snaps])
     rng = np.random.default_rng(seed)
     x = np.asarray(ensemble.walkers, dtype=float).copy()
-    lo, hi = fields[0].x[0], fields[0].x[-1]
+    lo, hi = snaps[0].x[0], snaps[0].x[-1]
     t = ensemble.time
     reflections = ensemble.reflections
     amp = np.sqrt(2.0 * nu * dt)
+    k_built = None
     for _ in range(steps):
         k = int(np.argmin(np.abs(snap_times - t)))
-        b = grid_interp(x, fields[k].x, fields[k].b, slopes[k])
-        x = x + b * dt + amp * rng.standard_normal(len(x))
-        below = x < lo
-        above = x > hi
-        reflections += int(below.sum() + above.sum())
-        x[below] = 2.0 * lo - x[below]
-        x[above] = 2.0 * hi - x[above]
+        if k != k_built:
+            field = nelson_drift(snaps[k], nu)
+            slope = np.diff(field.b) / np.diff(field.x)
+            k_built = k
+        for start in range(0, len(x), WALKER_BLOCK):
+            xb = x[start:start + WALKER_BLOCK]
+            b = grid_interp(xb, field.x, field.b, slope)
+            b *= dt
+            xb += b
+            z = rng.standard_normal(len(xb))
+            z *= amp
+            xb += z
+            below = xb < lo
+            above = xb > hi
+            reflections += int(below.sum() + above.sum())
+            xb[below] = 2.0 * lo - xb[below]
+            xb[above] = 2.0 * hi - xb[above]
         t += dt
     return NelsonEnsemble(walkers=x, time=t, reflections=reflections)
 
@@ -304,13 +329,15 @@ def walker_density(walkers: np.ndarray, grid_x: np.ndarray, bandwidth: float) ->
     each walker's term is off by at most (delta / bandwidth)**2 / 8 of the
     kernel's peak (linear interpolation of the Gaussian) before the
     normalization; a walker on a node is exact up to rounding, and one beyond
-    the reach of every grid point counts for nothing in both.
+    the reach of every grid point counts for nothing in both.  The walkers
+    are binned WALKER_BLOCK at a time, each node's weight summed in walker
+    order as np.bincount sums it.
 
     ValueError for walkers that are missing or not finite, for a grid or
     bandwidth that kde_cell refuses, and when no walker is within reach.
     """
     walkers = np.asarray(walkers, dtype=float)
-    if not (walkers.size and np.all(np.isfinite(walkers))):
+    if not (walkers.size and np.isfinite(walkers.min()) and np.isfinite(walkers.max())):
         raise ValueError("walker positions are missing or not all finite")
     cell, refine = kde_cell(grid_x, bandwidth)
     # Node k sits at grid_x[0] + k * cell, so grid_x[j] is node j * refine.
@@ -318,14 +345,29 @@ def walker_density(walkers: np.ndarray, grid_x: np.ndarray, bandwidth: float) ->
     span = max(grid_x[-1], walkers.max()) - min(grid_x[0], walkers.min())
     taps = int(min(KDE_REACH * bandwidth, span) / cell) + 1
     last = (len(grid_x) - 1) * refine
-    u = (walkers - grid_x[0]) / cell
-    i = np.floor(u)
-    near = (i >= -taps - 1) & (i <= last + taps)
-    frac = (u - i)[near]
-    i = i[near].astype(np.intp)
-    lo, hi = (i.min(), i.max()) if i.size else (0, 0)
-    weights = (np.bincount(i - lo, 1.0 - frac, hi - lo + 2)
-               + np.bincount(i - lo + 1, frac, hi - lo + 2))
+    # w_left and w_right hold nodes base.. of each walker's two shares; lo and
+    # hi are the least and greatest node of a walker within reach.
+    base = -taps - 1
+    w_left = np.zeros(last + 2 * taps + 3)
+    w_right = np.zeros_like(w_left)
+    lo, hi = None, None
+    for start in range(0, len(walkers), WALKER_BLOCK):
+        u = walkers[start:start + WALKER_BLOCK] - grid_x[0]
+        u /= cell
+        i = np.floor(u)
+        near = (i >= base) & (i <= last + taps)
+        frac = (u - i)[near]
+        i = i[near].astype(np.intp)
+        if not i.size:
+            continue
+        lo = i.min() if lo is None else min(lo, i.min())
+        hi = i.max() if hi is None else max(hi, i.max())
+        i -= base
+        np.add.at(w_left, i, 1.0 - frac)
+        np.add.at(w_right, i + 1, frac)
+    if lo is None:
+        lo, hi = 0, 0
+    weights = w_left[lo - base:hi - base + 2] + w_right[lo - base:hi - base + 2]
     kernel = np.exp(-0.5 * (cell * np.arange(-taps, taps + 1)) ** 2 / bandwidth**2)
     full = np.convolve(weights, kernel)  # full[t] is node lo - taps + t
     t = np.arange(0, last + 1, refine) - (lo - taps)

@@ -8,7 +8,10 @@ Each one is written the obvious way, one configuration at a time:
   returning the (time, X, V) of every recorded step;
 * reference_joint_diagonalize: the all-pairs Jacobi with its whole stop test
   evaluated every iteration and the Cayley update solved against I + K/2;
-* reference_silverman_bandwidth: the bandwidth with its IQR from np.percentile.
+* reference_silverman_bandwidth: the bandwidth with its IQR from np.percentile;
+* reference_nelson_evolve: every walker stepped at once, with every
+  snapshot's drift built up front;
+* reference_walker_density: every walker binned at once by np.bincount.
 """
 
 import numpy as np
@@ -20,6 +23,14 @@ from matrixqm.core import (
     ParticleFrame,
 )
 from matrixqm.dynamics import MICROCANONICAL
+from matrixqm.oracle import (
+    KDE_REACH,
+    NelsonEnsemble,
+    WaveFunction,
+    grid_interp,
+    kde_cell,
+    nelson_drift,
+)
 
 
 def loop_force(X, params):
@@ -165,8 +176,68 @@ def reference_joint_diagonalize(config, max_sweeps=1000, initial_frame=None,
 def reference_silverman_bandwidth(samples):
     """silverman_bandwidth with its IQR taken by np.percentile."""
     samples = np.asarray(samples, dtype=float).ravel()
+    if not np.isfinite(samples).all():
+        return np.nan
     n = len(samples)
     sigma = samples.std(ddof=1) if n > 1 else 1.0
     iqr = np.subtract(*np.percentile(samples, [75, 25]))
     scale = min(sigma, iqr / 1.34) if iqr > 0 else sigma
     return 0.9 * max(scale, 1e-12) * n ** (-0.2)
+
+
+def reference_nelson_evolve(ensemble, psi_series, nu, dt, steps, seed=0):
+    """nelson_evolve stepping the whole ensemble at once, out of place, with
+    the drift of every snapshot built before the first step."""
+    if isinstance(psi_series, WaveFunction):
+        psi_series = [psi_series]
+    snaps = sorted(psi_series, key=lambda wf: wf.time)
+    fields = [nelson_drift(wf, nu) for wf in snaps]
+    slopes = [np.diff(f.b) / np.diff(f.x) for f in fields]
+
+    snap_times = np.array([wf.time for wf in snaps])
+    rng = np.random.default_rng(seed)
+    x = np.asarray(ensemble.walkers, dtype=float).copy()
+    lo, hi = fields[0].x[0], fields[0].x[-1]
+    t = ensemble.time
+    reflections = ensemble.reflections
+    amp = np.sqrt(2.0 * nu * dt)
+    for _ in range(steps):
+        k = int(np.argmin(np.abs(snap_times - t)))
+        b = grid_interp(x, fields[k].x, fields[k].b, slopes[k])
+        x = x + b * dt + amp * rng.standard_normal(len(x))
+        below = x < lo
+        above = x > hi
+        reflections += int(below.sum() + above.sum())
+        x[below] = 2.0 * lo - x[below]
+        x[above] = 2.0 * hi - x[above]
+        t += dt
+    return NelsonEnsemble(walkers=x, time=t, reflections=reflections)
+
+
+def reference_walker_density(walkers, grid_x, bandwidth):
+    """walker_density binning every walker at once with two np.bincount calls."""
+    walkers = np.asarray(walkers, dtype=float)
+    if not (walkers.size and np.all(np.isfinite(walkers))):
+        raise ValueError("walker positions are missing or not all finite")
+    cell, refine = kde_cell(grid_x, bandwidth)
+    span = max(grid_x[-1], walkers.max()) - min(grid_x[0], walkers.min())
+    taps = int(min(KDE_REACH * bandwidth, span) / cell) + 1
+    last = (len(grid_x) - 1) * refine
+    u = (walkers - grid_x[0]) / cell
+    i = np.floor(u)
+    near = (i >= -taps - 1) & (i <= last + taps)
+    frac = (u - i)[near]
+    i = i[near].astype(np.intp)
+    lo, hi = (i.min(), i.max()) if i.size else (0, 0)
+    weights = (np.bincount(i - lo, 1.0 - frac, hi - lo + 2)
+               + np.bincount(i - lo + 1, frac, hi - lo + 2))
+    kernel = np.exp(-0.5 * (cell * np.arange(-taps, taps + 1)) ** 2 / bandwidth**2)
+    full = np.convolve(weights, kernel)
+    t = np.arange(0, last + 1, refine) - (lo - taps)
+    covered = (t >= 0) & (t < len(full))
+    rho = np.zeros(len(grid_x))
+    rho[covered] = full[t[covered]]
+    norm = rho.sum() * (grid_x[1] - grid_x[0])
+    if not norm > 0:
+        raise ValueError("no walker is within the kernel's reach of the grid")
+    return rho / norm

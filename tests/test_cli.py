@@ -725,14 +725,15 @@ def test_unwritable_out_io_exit(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
-# No command may load scipy or numpy.ma: the runtime needs only numpy's core,
-# and importing either costs more memory and start-up time than most
-# commands' own work (np.percentile, for one, loads numpy.ma through
-# np.unique).  Runs in a fresh interpreter, where nothing else has imported
-# matrixqm, scipy or numpy.ma.  After the commands it imports numpy.ma, then
-# scipy.stats when scipy is installed, which shows that the check sees each
-# package when it is loaded.
-GUARDED = ("scipy", "numpy.ma")
+# No command may load scipy, numpy.ma or numpy.polynomial: the runtime needs
+# only numpy's core, and importing any of them costs more memory and start-up
+# time than most commands' own work (np.percentile, for one, loads numpy.ma
+# through np.unique).  Runs in a fresh interpreter, where nothing else has
+# imported matrixqm or a guarded package.  After the commands it imports
+# numpy.ma, then numpy.polynomial, then scipy.stats when scipy is installed,
+# which shows that the check sees each package when it is loaded.
+# scipy.stats comes last because it loads numpy.polynomial itself.
+GUARDED = ("scipy", "numpy.ma", "numpy.polynomial")
 GUARD = """
 import importlib, json, sys
 from matrixqm.cli import main
@@ -774,7 +775,7 @@ def guarded_loads(tmp_path_factory):
         ["calibrate", "--config", sim, "--out", out],
         ["sweep", "--config", swp, "--out", out],
     ]
-    controls = ["numpy.ma"]
+    controls = ["numpy.ma", "numpy.polynomial"]
     if importlib.util.find_spec("scipy") is not None:
         controls.append("scipy.stats")
     proc = subprocess.run([sys.executable, "-c", GUARD, json.dumps(argvs), json.dumps(controls)],
@@ -786,7 +787,7 @@ def guarded_loads(tmp_path_factory):
 def test_no_command_loads_scipy(guarded_loads):
     if "scipy.stats" not in guarded_loads:
         pytest.skip("scipy is not installed, so no command could load it")
-    for step in ("import", *COMMANDS, "numpy.ma"):
+    for step in ("import", *COMMANDS, "numpy.ma", "numpy.polynomial"):
         assert guarded_loads[step]["scipy"] == [], step
     assert "scipy.stats" in guarded_loads["scipy.stats"]["scipy"]
 
@@ -795,6 +796,12 @@ def test_no_command_loads_numpy_ma(guarded_loads):
     for step in ("import", *COMMANDS):
         assert guarded_loads[step]["numpy.ma"] == [], step
     assert "numpy.ma" in guarded_loads["numpy.ma"]["numpy.ma"]
+
+
+def test_no_command_loads_numpy_polynomial(guarded_loads):
+    for step in ("import", *COMMANDS, "numpy.ma"):
+        assert guarded_loads[step]["numpy.polynomial"] == [], step
+    assert "numpy.polynomial" in guarded_loads["numpy.polynomial"]["numpy.polynomial"]
 
 
 # The benchmark's tracer rebinds named functions of every matrixqm module and

@@ -2,6 +2,7 @@
 and the stochastic (walker) representation of the same dynamics."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from matrixqm.cli import EXIT_OK, main
 from matrixqm.estimators import silverman_bandwidth
 from matrixqm.oracle import (
     KDE_REACH,
+    WALKER_BLOCK,
     NelsonEnsemble,
     WaveFunction,
     compare_densities,
@@ -21,12 +23,15 @@ from matrixqm.oracle import (
     gaussian_packet,
     grid_interp,
     harmonic_eigenstate,
+    hermite,
     kde_cell,
     madelung_decompose,
     nelson_drift,
     nelson_evolve,
     walker_density,
 )
+
+from kernel_oracles import reference_nelson_evolve, reference_walker_density
 
 HBAR, MASS = 1.0, 1.0
 
@@ -102,6 +107,30 @@ class TestStates:
         wf = harmonic_eigenstate(x, 0, 2.0, HBAR, MASS)
         var = np.sum(x**2 * wf.density()) * wf.h
         assert var == pytest.approx(HBAR / (2 * MASS * 2.0), rel=1e-10)
+
+    def test_hermite_recurrence_matches_hermval(self):
+        # The recurrence has hermval's bits at n = 0 and 1, the orders the
+        # oracle uses, and its values to 1e-12 of the largest up to n = 12.
+        from numpy.polynomial.hermite import hermval
+
+        xi = np.concatenate([np.linspace(-6.0, 6.0, 1001), [0.0, 1e-300, -1e-300]])
+        for n in range(13):
+            ref = hermval(xi, np.eye(n + 1)[n])
+            if n <= 1:
+                assert np.array_equal(bits(hermite(n, xi)), bits(ref)), n
+            else:
+                np.testing.assert_allclose(hermite(n, xi), ref, rtol=1e-12,
+                                           atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_eigenstate_bits_as_through_hermval(self, n):
+        from numpy.polynomial.hermite import hermval
+
+        x = periodic_grid()
+        xi = np.sqrt(2.0 * MASS / HBAR) * x
+        psi = hermval(xi, np.eye(n + 1)[n]) * np.exp(-0.5 * xi**2)
+        ref = WaveFunction(x, psi.astype(complex), HBAR, MASS).normalized()
+        assert np.array_equal(bits(harmonic_eigenstate(x, n, 2.0, HBAR, MASS).psi), bits(ref.psi))
 
 
 class TestSchrodinger:
@@ -294,6 +323,97 @@ class TestNelson:
         assert a.reflections > 0
         assert a.reflections == b.reflections
         assert np.array_equal(a.walkers, b.walkers)
+
+
+B = WALKER_BLOCK
+# Walker counts around the block: one walker, one block and one more or less,
+# and zero to three whole blocks plus a remainder.
+WALKER_COUNTS = st.one_of(
+    st.sampled_from([1, 2, B - 1, B, B + 1, 2 * B, 3 * B]),
+    st.builds(lambda m, r: m * B + r, st.integers(0, 3), st.integers(1, B - 1)),
+)
+
+
+class TestWalkerBlocks:
+    """nelson_evolve and walker_density against the whole-ensemble kernels of
+    kernel_oracles, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=WALKER_COUNTS, n_snaps=st.integers(0, 4), steps=st.integers(0, 4),
+           dt=st.floats(1e-3, 0.05), nu=st.sampled_from([0.5, 1.0]),
+           t0=st.floats(-1.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_nelson_evolve_bitwise_equal_to_reference(self, n, n_snaps, steps, dt, nu, t0,
+                                                      seed):
+        # n_snaps = 0 is one frozen WaveFunction; otherwise the packets are
+        # listed out of time order, at times the walker clock passes.  The
+        # walkers reach past both ends of the box, and the first and last
+        # start outside it.
+        rng = np.random.default_rng(seed)
+        x = periodic_grid(L=8.0, n=128)
+        packets = [gaussian_packet(x, rng.uniform(-1, 1), rng.uniform(0.6, 1.5),
+                                   rng.uniform(-2, 2), HBAR, MASS) for _ in range(max(n_snaps, 1))]
+        times = t0 + dt * np.sort(rng.uniform(0.0, steps + 1, len(packets)))
+        for wf, t in zip(packets, times):
+            wf.time = float(t)
+        series = packets[0] if n_snaps == 0 else [packets[i] for i in rng.permutation(n_snaps)]
+        w0 = rng.normal(0.0, 3.0, n)
+        w0[0], w0[-1] = x[0] - 1.0, x[-1] + 1.0
+        ens0 = NelsonEnsemble(walkers=w0, time=t0, reflections=3)
+        got = nelson_evolve(ens0, series, nu, dt, steps, seed=seed)
+        ref = reference_nelson_evolve(ens0, series, nu, dt, steps, seed=seed)
+        assert np.array_equal(bits(got.walkers), bits(ref.walkers))
+        assert got.time == ref.time and got.reflections == ref.reflections
+        assert ref.reflections > 3 or steps == 0
+        assert np.array_equal(bits(ens0.walkers), bits(w0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=WALKER_COUNTS, bw=st.floats(0.05, 1.0), side=st.sampled_from([-1, 0, 1, 2]),
+           share=st.sampled_from([0.01, 0.3, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_walker_density_bitwise_equal_to_reference(self, n, bw, side, share, seed):
+        # A share of the walkers lies past the low end (side -1), the high
+        # end (1) or both (2), from 0 to 3 reaches out: some within the
+        # kernel's reach of the grid and some beyond it.  When none is within
+        # reach both refuse.
+        rng = np.random.default_rng(seed)
+        x = np.linspace(-4.0, 4.0, 97)
+        w = rng.normal(0.0, 1.5, n)
+        out = rng.random(n) < share if side else np.zeros(n, bool)
+        past = rng.uniform(0.0, 3.0, n) * KDE_REACH * bw
+        high = rng.random(n) < 0.5 if side == 2 else np.full(n, side == 1)
+        w[out & high] = x[-1] + past[out & high]
+        w[out & ~high] = x[0] - past[out & ~high]
+        try:
+            ref = reference_walker_density(w, x, bw)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=str(e)):
+                walker_density(w, x, bw)
+            return
+        assert np.array_equal(bits(walker_density(w, x, bw)), bits(ref))
+
+    def test_working_memory_bounded_by_block_and_grid(self):
+        # tracemalloc sees numpy's allocations, so the peaks are exact.  On
+        # 200 000 walkers and a 1024-point grid, the peak of each call less
+        # its input and returned arrays is 0.43 MiB (nelson_evolve) and
+        # 0.37 MiB (walker_density); the whole-ensemble kernels of
+        # kernel_oracles reach 8.08 and 7.82 MiB.
+        x = periodic_grid(L=40.0, n=1024)
+        snaps = [gaussian_packet(x, 0.0, 1.0, 0.5, HBAR, MASS)]
+        snaps.append(evolve_schrodinger(snaps[0], np.zeros_like(x), 0.05, 1))
+        w0 = np.random.default_rng(16).normal(0.0, 1.0, 200_000)
+
+        def working_peak(fn, *args):
+            tracemalloc.start()
+            try:
+                out = fn(*args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - getattr(out, "walkers", out).nbytes
+
+        bw = silverman_bandwidth(w0)
+        assert working_peak(nelson_evolve, NelsonEnsemble(walkers=w0), snaps, 0.5, 0.025,
+                            2) <= 2**20
+        assert working_peak(walker_density, w0, x, bw) <= 2**20
 
 
 class TestGridInterp:
