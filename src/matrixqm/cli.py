@@ -150,7 +150,7 @@ def cmd_oracle(cfg, args) -> dict:
     ab = {}
     for name, nu in (("nelson_hbar_over_2m", o.hbar / (2 * o.mass)),
                      ("direct_hbar_over_m", o.hbar / o.mass)):
-        ens = NelsonEnsemble(walkers=walkers0.copy())
+        ens = NelsonEnsemble(walkers=walkers0)
         ens = nelson_evolve(ens, snaps, nu, o.dt * per / 4, 4 * n_snap,
                             seed=replica_seed(cfg.ensemble.master_seed, 1, "nelson"))
         bw = silverman_bandwidth(ens.walkers)
@@ -360,6 +360,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # numpy.random.bit_generator imports secrets, only to seed generators given
+    # no seed; secrets imports hmac, and hmac and hashlib load _hashlib, which
+    # maps OpenSSL's libcrypto (3.4 MiB).  Every generator here is seeded
+    # through SeedSequence, which mixes with its own hash, and no command
+    # hashes anything.  Blocking the module lets hmac and hashlib fall back to
+    # the interpreter's builtin hashes; one already loaded stays in place.
+    sys.modules.setdefault("_hashlib", None)
     ap = build_parser()
     try:
         args = ap.parse_args(argv)

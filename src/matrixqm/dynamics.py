@@ -358,8 +358,8 @@ def integrated_autocorrelation_time(x: np.ndarray) -> float:
 def measure_temperature(record: TrajectoryRecord, params: ModelParams) -> tuple[float, float]:
     """Equipartition estimate T = 2<K>/n_dof with a blocking standard error.
 
-    The kinetic series is blocked over ~2 autocorrelation times; needs at
-    least 8 decorrelated blocks.
+    The kinetic series is blocked over ~2 autocorrelation times.  Fewer than
+    8 decorrelated blocks give no standard error: it is `nan`.
     """
     K = record.energies[:, 0]
     T_series = 2.0 * K / params.n_dof
@@ -369,10 +369,7 @@ def measure_temperature(record: TrajectoryRecord, params: ModelParams) -> tuple[
     block = max(1, int(np.ceil(2.0 * tau)))
     nblocks = len(T_series) // block
     if nblocks < 8:
-        raise ValueError(
-            f"record too short for blocking: {len(T_series)} samples, "
-            f"block size {block} gives {nblocks} blocks (< 8)"
-        )
+        return float(T_series.mean()), float("nan")
     means = T_series[: nblocks * block].reshape(nblocks, block).mean(axis=1)
     stderr = float(means.std(ddof=1) / np.sqrt(nblocks))
     return float(T_series.mean()), stderr

@@ -228,7 +228,8 @@ def nelson_evolve(
     psi_series supplies the drift: a single WaveFunction (frozen) or a list
     of them; the snapshot with time closest to the walker clock is used at
     each step, its drift built when the clock first reaches it.  Walkers
-    leaving the grid are reflected (counted).  Each step moves the walkers
+    leaving the grid are reflected (counted).  The caller's walkers are not
+    touched: the walk runs on a copy.  Each step moves the walkers
     WALKER_BLOCK at a time, drawing their noise in walker order, so the
     result is the whole-ensemble step's bit for bit.
     """

@@ -725,21 +725,25 @@ def test_unwritable_out_io_exit(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
-# No command may load scipy, numpy.ma or numpy.polynomial: the runtime needs
-# only numpy's core, and importing any of them costs more memory and start-up
-# time than most commands' own work (np.percentile, for one, loads numpy.ma
-# through np.unique).  Runs in a fresh interpreter, where nothing else has
-# imported matrixqm or a guarded package.  After the commands it imports
-# numpy.ma, then numpy.polynomial, then scipy.stats when scipy is installed,
-# which shows that the check sees each package when it is loaded.
-# scipy.stats comes last because it loads numpy.polynomial itself.
-GUARDED = ("scipy", "numpy.ma", "numpy.polynomial")
+# No command may load scipy, numpy.ma, numpy.polynomial or _hashlib (OpenSSL's
+# libcrypto): the runtime needs only numpy's core, and importing any of them
+# costs more memory and start-up time than most commands' own work
+# (np.percentile, for one, loads numpy.ma through np.unique; numpy.random loads
+# _hashlib through secrets and hmac unless main() blocks it).  Runs in a fresh
+# interpreter, where nothing else has imported matrixqm or a guarded package.
+# After the commands it imports numpy.ma, then numpy.polynomial, then _hashlib
+# (popping main()'s None placeholder first), then scipy.stats when scipy is
+# installed, which shows that the check sees each package when it is loaded.
+# scipy.stats comes last because it loads numpy.polynomial itself.  Only
+# entries that are modules count: a None placeholder is not a load.
+GUARDED = ("scipy", "numpy.ma", "numpy.polynomial", "_hashlib")
 GUARD = """
-import importlib, json, sys
+import importlib, json, sys, types
 from matrixqm.cli import main
 
 def guarded_modules():
-    return {p: sorted(k for k in sys.modules if k == p or k.startswith(p + "."))
+    return {p: sorted(k for k, v in sys.modules.items()
+                      if (k == p or k.startswith(p + ".")) and isinstance(v, types.ModuleType))
             for p in %r}
 
 loaded = {"import": guarded_modules()}
@@ -748,6 +752,8 @@ for argv in argvs:
     assert main(argv) == 0, argv
     loaded[argv[0]] = guarded_modules()
 for name in controls:
+    if name in sys.modules and sys.modules[name] is None:
+        del sys.modules[name]
     importlib.import_module(name)
     loaded[name] = guarded_modules()
 print(json.dumps(loaded))
@@ -775,7 +781,7 @@ def guarded_loads(tmp_path_factory):
         ["calibrate", "--config", sim, "--out", out],
         ["sweep", "--config", swp, "--out", out],
     ]
-    controls = ["numpy.ma", "numpy.polynomial"]
+    controls = ["numpy.ma", "numpy.polynomial", "_hashlib"]
     if importlib.util.find_spec("scipy") is not None:
         controls.append("scipy.stats")
     proc = subprocess.run([sys.executable, "-c", GUARD, json.dumps(argvs), json.dumps(controls)],
@@ -787,7 +793,7 @@ def guarded_loads(tmp_path_factory):
 def test_no_command_loads_scipy(guarded_loads):
     if "scipy.stats" not in guarded_loads:
         pytest.skip("scipy is not installed, so no command could load it")
-    for step in ("import", *COMMANDS, "numpy.ma", "numpy.polynomial"):
+    for step in ("import", *COMMANDS, "numpy.ma", "numpy.polynomial", "_hashlib"):
         assert guarded_loads[step]["scipy"] == [], step
     assert "scipy.stats" in guarded_loads["scipy.stats"]["scipy"]
 
@@ -802,6 +808,65 @@ def test_no_command_loads_numpy_polynomial(guarded_loads):
     for step in ("import", *COMMANDS, "numpy.ma"):
         assert guarded_loads[step]["numpy.polynomial"] == [], step
     assert "numpy.polynomial" in guarded_loads["numpy.polynomial"]["numpy.polynomial"]
+
+
+def test_no_command_loads_openssl(guarded_loads):
+    for step in ("import", *COMMANDS, "numpy.ma", "numpy.polynomial"):
+        assert guarded_loads[step]["_hashlib"] == [], step
+    assert guarded_loads["_hashlib"]["_hashlib"] == ["_hashlib"]
+
+
+# Blocking _hashlib in main() changes no output and breaks no fallback.  Two
+# fresh interpreters run simulate, then oracle: one imports _hashlib before
+# main(), so it stays the real module, and one does not, so it stays blocked.
+# In the second, hashlib serves the interpreter's builtin SHA-2 (CPython builds
+# it by default) and an unseeded generator still seeds itself through secrets.
+OPENSSL_RUN = """
+import json, sys
+if sys.argv[1] == "preload":
+    import _hashlib
+from matrixqm.cli import main
+for argv in json.loads(sys.argv[2]):
+    assert main(argv) == 0, argv
+import hashlib
+import numpy as np
+print(json.dumps({
+    "_hashlib": getattr(sys.modules["_hashlib"], "__name__", None),
+    "sha256": hashlib.sha256(b"abc").hexdigest(),
+    "sha384": hashlib.sha384(b"abc").hexdigest(),
+    "draw": float(np.random.default_rng().random()),
+}))
+"""
+# FIPS 180-4's examples for the message "abc".
+SHA256_ABC = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+SHA384_ABC = ("cb00753f45a35e8bb5a03d699ac65007272c32ab0eded163"
+              "1a8b605a43ff5bed8086072ba1e7cc2358baeca134c825a7")
+
+
+def test_blocked_openssl_changes_no_output_and_keeps_fallbacks(tmp_path):
+    sim = write_config(tmp_path, {**BASE_CONFIG, "integrator": {
+        **BASE_CONFIG["integrator"], "steps": 20}}, "sim.json")
+    orc = write_config(tmp_path, {"oracle": SMALL_ORACLE}, "orc.json")
+    outs, states = {}, {}
+    for mode in ("preload", "blocked"):
+        out = str(tmp_path / mode)
+        argvs = [["simulate", "--config", sim, "--out", out],
+                 ["oracle", "--config", orc, "--out", out]]
+        proc = subprocess.run([sys.executable, "-c", OPENSSL_RUN, mode, json.dumps(argvs)],
+                              env=fresh_env(), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs[mode], states[mode] = out, json.loads(proc.stdout)
+    assert states["preload"]["_hashlib"] == "_hashlib"
+    assert states["blocked"]["_hashlib"] is None
+    for state in states.values():
+        assert state["sha256"] == SHA256_ABC and state["sha384"] == SHA384_ABC
+        assert 0.0 <= state["draw"] < 1.0
+    names = sorted(os.listdir(outs["preload"]))
+    assert "oracle_psi.csv" in names and "record_000.csv" in names
+    assert names == sorted(os.listdir(outs["blocked"]))
+    for name in names:
+        assert read(os.path.join(outs["preload"], name), "rb") == read(
+            os.path.join(outs["blocked"], name), "rb"), name
 
 
 # The benchmark's tracer rebinds named functions of every matrixqm module and

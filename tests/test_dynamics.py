@@ -1,6 +1,7 @@
 """Integrator tests: reversibility, conservation, thermostat statistics,
 and the run/record plumbing."""
 
+import math
 import warnings
 
 import numpy as np
@@ -280,10 +281,13 @@ class TestEquilibration:
         assert measure_temperature(rec, ModelParams(d=2, N=3)) == (0.0, 0.0)
 
     def test_temperature_of_short_record_names_blocks(self):
-        # Anticorrelated, so tau = 0.5 and each sample is a block.
-        rec = self.kinetic_record(np.array([1.0, 2.0, 1.0, 2.0, 1.0]))
-        with pytest.raises(ValueError, match=r"5 samples, block size 1 gives 5 blocks \(< 8\)"):
-            measure_temperature(rec, ModelParams(d=2, N=3))
+        # Anticorrelated, so tau = 0.5 and each sample is a block: 5 blocks,
+        # fewer than 8, give the mean and a nan stderr.
+        K = np.array([1.0, 2.0, 1.0, 2.0, 1.0])
+        p = ModelParams(d=2, N=3)
+        t_est, se = measure_temperature(self.kinetic_record(K), p)
+        assert t_est == float(np.mean(2.0 * K / p.n_dof))
+        assert math.isnan(se)
 
 
 # (d, N, mode, project_trace_noise, kappa, record_frames, seed)
